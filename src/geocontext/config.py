@@ -31,9 +31,8 @@ class EngineConfig:
     w_t: float = 0.6
     w_s: float = 0.3
     w_d: float = 0.1
-    # spatial decay length and cell bucketing
+    # spatial decay length
     lambda_m: float = 1000.0
-    geohash_precision: int = 7
     # proximity phrase thresholds
     adjacent_m: float = 100.0
     close_m: float = 1000.0
@@ -72,8 +71,6 @@ class EngineConfig:
             raise ConfigError("weights must be nonnegative")
         if self.lambda_m <= 0:
             raise ConfigError("lambda_m must be > 0")
-        if not 1 <= self.geohash_precision <= 12:
-            raise ConfigError("geohash_precision must be in [1, 12]")
         if self.cardinal_ways not in (8, 16):
             raise ConfigError("cardinal_ways must be 8 or 16")
         if not 0.0 <= self.min_credibility <= 1.0:

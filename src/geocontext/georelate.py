@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DegeneratePolygon, EmptyPath, MissingPoint, UndefinedBearing
 from .geomodel import AdminArea, GeoPoint, LandmarkRecord
@@ -38,6 +40,15 @@ def haversine(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> flo
     dlam = math.radians(b.lon - a.lon)
     h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return radius_m * 2.0 * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+
+
+def haversine_array(a: GeoPoint, lat: np.ndarray, lon: np.ndarray, radius_m: float = EARTH_RADIUS_M) -> np.ndarray:
+    """`haversine` from `a` to every (lat, lon) pair, as a float64 array in meters."""
+    phi1, phi2 = math.radians(a.lat), np.radians(lat)
+    dphi = np.radians(lat - a.lat)
+    dlam = np.radians(lon - a.lon)
+    h = np.sin(dphi / 2.0) ** 2 + math.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return radius_m * 2.0 * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
 
 
 def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:

@@ -14,6 +14,7 @@ store, prompt, and config.
 from __future__ import annotations
 
 import json
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -23,6 +24,13 @@ from .geomodel import GeoPoint
 from .geotext.gazetteer import Gazetteer
 from .ragctx import answer_prompt, payload_json
 from .vectorstore import HybridIndex
+
+
+def _finite(value, name: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _compute_payload(body: dict) -> dict:
@@ -36,7 +44,7 @@ def _compute_payload(body: dict) -> dict:
         result = within_radius(
             parse_feature_collection(body["a"]),
             GeoPoint(float(center["lat"]), float(center["lon"])),
-            float(body["radius_m"]),
+            _finite(body["radius_m"], "radius_m"),
         )
     else:
         raise ValueError(f"unknown compute op {op!r}")
@@ -66,8 +74,12 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                raise ValueError("negative Content-Length")
             body = json.loads(self.rfile.read(length).decode("utf-8")) if length else {}
-        except (ValueError, UnicodeDecodeError):
+            if not isinstance(body, dict):
+                raise ValueError("body is not a JSON object")
+        except ValueError:  # also UnicodeDecodeError
             self._send(400, {"error": "bad JSON body"})
             return
         try:
@@ -78,7 +90,7 @@ class _Handler(BaseHTTPRequestHandler):
                     body.get("prompt", ""),
                     int(body.get("k", 5)),
                     self.server.config,
-                    time=float(body["time"]) if body.get("time") is not None else None,
+                    time=_finite(body["time"], "time") if body.get("time") is not None else None,
                 )
                 self._send(200, payload)
             elif self.path == "/compute":

@@ -1,12 +1,12 @@
-"""Hybrid vector database: standardized vectors plus spatial cells and time
+"""Hybrid vector database: standardized vectors plus points and time
 windows, searched by a weighted combination of text similarity, spatial
 proximity decay, and temporal window overlap.
 
-Search is exact: full scan, or geohash-cell pruning that provably never
-drops a candidate (cells are discarded only when their bounding box lies
-wholly outside a conservative bounding box of the query circle), so the
-pruned path returns byte-identical results to the full scan. Ties break on
-ascending doc_id, making every hit list reproducible.
+Search is exact: every query scores every record in one vectorised scan (one
+dot product per row for text similarity, haversine and exp for spatial
+proximity, masks for credibility and radius) and takes the top k with a
+stable sort over rows in doc_id order, so ties break on ascending doc_id and
+every hit list is reproducible.
 
 Persistence is a little-endian binary format (magic "GCEV") designed for
 bit-exact round-trips: vectors are stored and kept in float32, and all
@@ -26,12 +26,12 @@ import numpy as np
 from .config import DEFAULT_CONFIG, WEIGHT_TOL, EngineConfig
 from .errors import CorruptFile, InvalidVectorDim, InvalidWeights, VersionMismatch
 from .geomodel import GeoPoint, TimeWindow
+from .georelate import haversine_array
 
 MAGIC = b"GCEV"
 FORMAT_VERSION = 1
 
 GEOHASH_BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
-_GEOHASH_INDEX = {c: i for i, c in enumerate(GEOHASH_BASE32)}
 
 
 def geohash_encode(p: GeoPoint, precision: int) -> str:
@@ -72,30 +72,6 @@ def geohash_encode(p: GeoPoint, precision: int) -> str:
     return "".join(chars)
 
 
-def geohash_cell_bounds(cell: str) -> tuple[float, float, float, float]:
-    """(lat_min, lat_max, lon_min, lon_max) of a geohash cell."""
-    lat_min, lat_max = -90.0, 90.0
-    lon_min, lon_max = -180.0, 180.0
-    is_lon = True
-    for ch in cell:
-        idx = _GEOHASH_INDEX[ch]
-        for bit in range(4, -1, -1):
-            if is_lon:
-                mid = (lon_min + lon_max) / 2.0
-                if idx & (1 << bit):
-                    lon_min = mid
-                else:
-                    lon_max = mid
-            else:
-                mid = (lat_min + lat_max) / 2.0
-                if idx & (1 << bit):
-                    lat_min = mid
-                else:
-                    lat_max = mid
-            is_lon = not is_lon
-    return lat_min, lat_max, lon_min, lon_max
-
-
 @dataclass(frozen=True, eq=False)
 class VectorRecord:
     doc_id: str
@@ -105,7 +81,6 @@ class VectorRecord:
     credibility: float = 1.0
     source: str = ""
     text: str = ""
-    cell: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,43 +112,47 @@ class ScoredHit:
     temporal_rel: float
 
 
-def _haversine_m(a: GeoPoint, b: GeoPoint, radius_m: float) -> float:
-    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return radius_m * 2.0 * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """Column copy of the records, one row per record in ascending doc_id
+    order, that `HybridIndex` scores queries against."""
 
+    ids: list[str]
+    matrix: np.ndarray  # N x d float64, widened from the stored float32
+    lat: np.ndarray
+    lon: np.ndarray
+    has_point: np.ndarray
+    start: np.ndarray  # +inf without a window, so no time falls inside
+    end: np.ndarray  # -inf without a window
+    credibility: np.ndarray
 
-def _circle_lon_halfwidth_deg(lat_deg: float, ang_rad: float) -> float | None:
-    """Max |dlon| of a spherical cap, None when it reaches a pole (all lons).
-
-    Conservative: uses the larger of the cap's extreme |latitudes|, so the
-    returned half-width always covers the true extent.
-    """
-    lat_lo = abs(lat_deg) - math.degrees(ang_rad)
-    lat_hi = abs(lat_deg) + math.degrees(ang_rad)
-    if lat_hi >= 90.0:
-        return None
-    cos_min = min(math.cos(math.radians(abs(lat_lo))), math.cos(math.radians(lat_hi)))
-    ratio = math.sin(ang_rad) / cos_min
-    if ratio >= 1.0:
-        return None
-    return math.degrees(math.asin(ratio)) + 1e-9
+    @classmethod
+    def build(cls, records: dict[str, VectorRecord], dim: int) -> "_Columns":
+        ids = sorted(records)
+        rows = [records[doc_id] for doc_id in ids]
+        return cls(
+            ids=ids,
+            matrix=np.array([r.vector for r in rows], dtype=np.float64).reshape(len(rows), dim),
+            lat=np.array([r.point.lat if r.point is not None else 0.0 for r in rows], dtype=np.float64),
+            lon=np.array([r.point.lon if r.point is not None else 0.0 for r in rows], dtype=np.float64),
+            has_point=np.array([r.point is not None for r in rows], dtype=bool),
+            start=np.array([r.window.start if r.window is not None else np.inf for r in rows], dtype=np.float64),
+            end=np.array([r.window.end if r.window is not None else -np.inf for r in rows], dtype=np.float64),
+            credibility=np.array([r.credibility for r in rows], dtype=np.float64),
+        )
 
 
 class HybridIndex:
-    """Exact hybrid search over vector records with cell bucketing.
+    """Exact hybrid search over vector records by one vectorised scan.
 
-    Thread contract: a single lock serializes writers and readers, so every
-    query observes a complete pre- or post-upsert state.
+    Thread contract: a single lock serializes writes with snapshot builds,
+    so every query scores a complete pre- or post-upsert state.
     """
 
     def __init__(self, config: EngineConfig = DEFAULT_CONFIG):
         self.config = config
         self._records: dict[str, VectorRecord] = {}
-        self._vec64: dict[str, np.ndarray] = {}
-        self._cells: dict[str, set[str]] = {}
+        self._columns: _Columns | None = None  # built on the first read after a write
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -203,127 +182,68 @@ class HybridIndex:
         vec32 = vec.astype(np.float32)
         vec32.setflags(write=False)
 
-        cell = geohash_encode(record.point, self.config.geohash_precision) if record.point else ""
-        stored = replace(record, vector=vec32, cell=cell)
+        stored = replace(record, vector=vec32)
         with self._lock:
             existed = record.doc_id in self._records
-            if existed:
-                old_cell = self._records[record.doc_id].cell
-                if old_cell:
-                    bucket = self._cells.get(old_cell)
-                    if bucket is not None:
-                        bucket.discard(record.doc_id)
-                        if not bucket:
-                            del self._cells[old_cell]
             self._records[record.doc_id] = stored
-            self._vec64[record.doc_id] = vec32.astype(np.float64)
-            if cell:
-                self._cells.setdefault(cell, set()).add(record.doc_id)
+            self._columns = None
             return existed
 
-    def _query64(self, text_vector) -> np.ndarray:
-        q = np.asarray(text_vector, dtype=np.float64).reshape(-1)
-        if q.shape != (self.config.d_text,):
-            raise InvalidVectorDim(f"query length {q.shape[0]} != d_text {self.config.d_text}")
-        norm = float(np.linalg.norm(q))
-        return q / norm if norm > 0.0 else q
+    def _scan(self, q: QuerySpec) -> list[ScoredHit]:
+        """The q.k best eligible records, scoring every row of the snapshot
+        at once. Rows are in ascending doc_id order and the sort is stable,
+        so ties break on doc_id. Text similarity is `np.vecdot`, one `np.dot`
+        per row: a BLAS matrix-vector product rounds equal rows differently
+        depending on their position, which would break ties."""
+        qv = np.asarray(q.text_vector, dtype=np.float64).reshape(-1)
+        if qv.shape != (self.config.d_text,):
+            raise InvalidVectorDim(f"query length {qv.shape[0]} != d_text {self.config.d_text}")
+        norm = float(np.linalg.norm(qv))
+        if norm > 0.0:
+            qv = qv / norm
+        with self._lock:
+            if self._columns is None:
+                self._columns = _Columns.build(self._records, self.config.d_text)
+            cols = self._columns
+        text = np.vecdot(cols.matrix, qv)
+        eligible = cols.credibility >= q.min_credibility
+        if q.point is None:
+            spatial = np.ones_like(text)
+        else:
+            d = haversine_array(q.point, cols.lat, cols.lon, self.config.earth_radius_m)
+            spatial = np.where(cols.has_point, np.exp(-d / self.config.lambda_m), 0.0)
+            if q.radius_filter is not None:
+                eligible &= cols.has_point & (d <= q.radius_filter)
+        if q.time is None:
+            temporal = np.ones_like(text)
+        else:
+            temporal = ((cols.start <= q.time) & (q.time <= cols.end)).astype(np.float64)
+        w_t, w_s, w_d = q.weights
+        combined = w_t * text + w_s * spatial + w_d * temporal
+        rows = np.flatnonzero(eligible)
+        top = rows[np.argsort(-combined[rows], kind="stable")[: q.k]]
+        return [
+            ScoredHit(cols.ids[i], float(combined[i]), float(text[i]), float(spatial[i]), float(temporal[i]))
+            for i in top
+        ]
 
     def knn(self, text_vector, k: int) -> list[ScoredHit]:
         """Exact top-k by cosine similarity, ties by ascending doc_id."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        q = self._query64(text_vector)
-        with self._lock:
-            scored = [
-                (-float(np.dot(self._vec64[doc_id], q)), doc_id)
-                for doc_id in self._records
-            ]
-        scored.sort()
-        return [
-            ScoredHit(doc_id=doc_id, combined=-neg, text_sim=-neg, spatial_prox=0.0, temporal_rel=0.0)
-            for neg, doc_id in scored[:k]
-        ]
-
-    def _candidate_ids(self, q: QuerySpec) -> list[str]:
-        """All ids, or ids from cells that can intersect the query circle.
-
-        Pruning drops a cell only when its bbox lies outside a conservative
-        bbox of the radius circle, so pruned results equal the full scan.
-        Records without points are never candidates under a radius filter.
-        """
-        if q.radius_filter is None:
-            return list(self._records)
-        ang = q.radius_filter / self.config.earth_radius_m
-        lat_lo = q.point.lat - math.degrees(ang) - 1e-9
-        lat_hi = q.point.lat + math.degrees(ang) + 1e-9
-        halfwidth = _circle_lon_halfwidth_deg(q.point.lat, ang)
-        out: list[str] = []
-        for cell, ids in self._cells.items():
-            c_lat_lo, c_lat_hi, c_lon_lo, c_lon_hi = geohash_cell_bounds(cell)
-            if c_lat_hi < lat_lo or c_lat_lo > lat_hi:
-                continue
-            if halfwidth is not None and not self._lon_overlap(q.point.lon, halfwidth, c_lon_lo, c_lon_hi):
-                continue
-            out.extend(ids)
-        return out
-
-    @staticmethod
-    def _lon_overlap(center_lon: float, halfwidth: float, lo: float, hi: float) -> bool:
-        """Does [center-halfwidth, center+halfwidth] (wrapping) meet [lo, hi]?"""
-        a, b = center_lon - halfwidth, center_lon + halfwidth
-        intervals = []
-        if b - a >= 360.0:
-            return True
-        a = (a + 180.0) % 360.0 - 180.0
-        b = (b + 180.0) % 360.0 - 180.0
-        if a <= b:
-            intervals.append((a, b))
-        else:
-            intervals.extend([(-180.0, b), (a, 180.0)])
-        return any(not (hi < lo_i or lo > hi_i) for lo_i, hi_i in intervals)
+        spec = QuerySpec(text_vector=text_vector, k=k, weights=(1.0, 0.0, 0.0), min_credibility=-math.inf)
+        return [replace(hit, spatial_prox=0.0, temporal_rel=0.0) for hit in self._scan(spec)]
 
     def hybrid_search(self, q: QuerySpec) -> list[ScoredHit]:
         """Weighted text + spatial + temporal ranking, exact top-k.
 
-        Component rules: spatial proximity is exp(-d/lambda); a located
-        record scores 0 against a query with a point it cannot be compared
-        to is impossible, while an unlocated record scores 0 (strictly
-        non-local). When the query itself has no point, spatial proximity is
-        1 for every record, which ranks identically to redistributing w_s
-        over the other weights. Temporal relevance is 1 iff the query time
-        falls in the record window; with no query time it is 1 for all.
+        Component rules: spatial proximity is exp(-d/lambda) between a
+        located query and a located record, and 0 for an unlocated record
+        (strictly non-local), which a radius filter excludes. When the
+        query itself has no point, spatial proximity is 1 for every record,
+        which ranks identically to redistributing w_s over the other
+        weights. Temporal relevance is 1 iff the query time falls in the
+        record window; with no query time it is 1 for all.
         """
-        qv = self._query64(q.text_vector)
-        w_t, w_s, w_d = q.weights
-        lam = self.config.lambda_m
-        radius = self.config.earth_radius_m
-        scored: list[tuple[float, str, float, float, float]] = []
-        with self._lock:
-            for doc_id in self._candidate_ids(q):
-                rec = self._records[doc_id]
-                if rec.credibility < q.min_credibility:
-                    continue
-                if q.point is not None and rec.point is not None:
-                    d = _haversine_m(q.point, rec.point, radius)
-                    if q.radius_filter is not None and d > q.radius_filter:
-                        continue
-                    spatial = math.exp(-d / lam)
-                elif q.point is None:
-                    spatial = 1.0
-                else:
-                    spatial = 0.0
-                if q.time is None:
-                    temporal = 1.0
-                else:
-                    temporal = 1.0 if (rec.window is not None and rec.window.contains(q.time)) else 0.0
-                text_sim = float(np.dot(self._vec64[doc_id], qv))
-                combined = w_t * text_sim + w_s * spatial + w_d * temporal
-                scored.append((-combined, doc_id, text_sim, spatial, temporal))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        return [
-            ScoredHit(doc_id=doc_id, combined=-neg, text_sim=ts, spatial_prox=sp, temporal_rel=tr)
-            for neg, doc_id, ts, sp, tr in scored[: q.k]
-        ]
+        return self._scan(q)
 
     def relevance_filter(
         self,
@@ -343,7 +263,7 @@ class HybridIndex:
                 rec = self._records.get(hit.doc_id)
                 if rec is None or rec.credibility < min_credibility:
                     continue
-                vec = self._vec64[hit.doc_id]
+                vec = rec.vector.astype(np.float64)
                 if any(float(np.dot(vec, kv)) >= dedup_cosine for kv in kept_vecs):
                     continue
                 kept.append(hit)
@@ -356,32 +276,29 @@ class HybridIndex:
         """Write the store in the bit-exact binary format."""
         with self._lock:
             records = [self._records[doc_id] for doc_id in sorted(self._records)]
-            dim = self.config.d_text
-            parts = [MAGIC, struct.pack("<HIQ", FORMAT_VERSION, dim, len(records))]
-            for rec in records:
-                id_bytes = rec.doc_id.encode("utf-8")
-                source_bytes = rec.source.encode("utf-8")
-                text_bytes = rec.text.encode("utf-8")
-                flags = (1 if rec.point is not None else 0) | (2 if rec.window is not None else 0)
-                parts.append(struct.pack("<I", len(id_bytes)))
-                parts.append(id_bytes)
-                parts.append(rec.vector.astype("<f4").tobytes())
-                parts.append(struct.pack("<B", flags))
-                if rec.point is not None:
-                    parts.append(struct.pack("<dd", rec.point.lat, rec.point.lon))
-                if rec.window is not None:
-                    parts.append(struct.pack("<dd", rec.window.start, rec.window.end))
-                parts.append(struct.pack("<d", rec.credibility))
-                parts.append(struct.pack("<I", len(source_bytes)))
-                parts.append(source_bytes)
-                parts.append(struct.pack("<I", len(text_bytes)))
-                parts.append(text_bytes)
-        Path(path).write_bytes(b"".join(parts))
+        out = bytearray(MAGIC)
+        out += struct.pack("<HIQ", FORMAT_VERSION, self.config.d_text, len(records))
+        for rec in records:
+            flags = (1 if rec.point is not None else 0) | (2 if rec.window is not None else 0)
+            out += _prefixed(rec.doc_id)
+            out += rec.vector.astype("<f4").tobytes()
+            out += struct.pack("<B", flags)
+            if rec.point is not None:
+                out += struct.pack("<dd", rec.point.lat, rec.point.lon)
+            if rec.window is not None:
+                out += struct.pack("<dd", rec.window.start, rec.window.end)
+            out += struct.pack("<d", rec.credibility)
+            out += _prefixed(rec.source)
+            out += _prefixed(rec.text)
+        Path(path).write_bytes(out)
 
     @classmethod
     def load(cls, path: str | Path, config: EngineConfig = DEFAULT_CONFIG) -> "HybridIndex":
         """Read a store file; answers every query identically to the saved
-        store. Raises CorruptFile (with byte offset) or VersionMismatch."""
+        store. Raises CorruptFile (with byte offset) for truncation, trailing
+        bytes, text that is not UTF-8, a non-finite vector component or
+        credibility, or a duplicate doc id; VersionMismatch for an unknown
+        format version."""
         data = Path(path).read_bytes()
         reader = _Reader(data)
         magic = reader.take(4, "magic")
@@ -394,9 +311,15 @@ class HybridIndex:
             raise InvalidVectorDim(f"store dimension {dim} != configured d_text {config.d_text}")
         store = cls(config)
         for _ in range(count):
-            (id_len,) = reader.unpack("<I", "id length")
-            doc_id = reader.take(id_len, "doc id").decode("utf-8")
+            record_at = reader.pos
+            doc_id = reader.string("doc id")
+            if doc_id in store._records:
+                raise CorruptFile(f"duplicate doc id {doc_id!r}", offset=record_at)
+            vector_at = reader.pos
             vec = np.frombuffer(reader.take(4 * dim, "vector"), dtype="<f4").astype(np.float32)
+            if not np.all(np.isfinite(vec)):
+                raise CorruptFile("non-finite vector component", offset=vector_at)
+            vec.setflags(write=False)
             (flags,) = reader.unpack("<B", "flags")
             point = window = None
             if flags & 1:
@@ -405,30 +328,28 @@ class HybridIndex:
             if flags & 2:
                 start, end = reader.unpack("<dd", "window")
                 window = TimeWindow(start, end)
+            credibility_at = reader.pos
             (credibility,) = reader.unpack("<d", "credibility")
-            (source_len,) = reader.unpack("<I", "source length")
-            source = reader.take(source_len, "source").decode("utf-8")
-            (text_len,) = reader.unpack("<I", "text length")
-            text = reader.take(text_len, "text").decode("utf-8")
-            record = VectorRecord(
+            if not math.isfinite(credibility):
+                raise CorruptFile(f"non-finite credibility {credibility}", offset=credibility_at)
+            store._records[doc_id] = VectorRecord(
                 doc_id=doc_id,
                 vector=vec,
                 point=point,
                 window=window,
                 credibility=credibility,
-                source=source,
-                text=text,
+                source=reader.string("source"),
+                text=reader.string("text"),
             )
-            cell = geohash_encode(point, config.geohash_precision) if point else ""
-            vec.setflags(write=False)
-            stored = replace(record, cell=cell)
-            store._records[doc_id] = stored
-            store._vec64[doc_id] = vec.astype(np.float64)
-            if cell:
-                store._cells.setdefault(cell, set()).add(doc_id)
         if reader.pos != len(data):
             raise CorruptFile("trailing bytes after last record", offset=reader.pos)
         return store
+
+
+def _prefixed(text: str) -> bytes:
+    """A string as the store writes it: u32 byte length, then UTF-8."""
+    data = text.encode("utf-8")
+    return struct.pack("<I", len(data)) + data
 
 
 class _Reader:
@@ -448,3 +369,12 @@ class _Reader:
     def unpack(self, fmt: str, what: str):
         size = struct.calcsize(fmt)
         return struct.unpack(fmt, self.take(size, what))
+
+    def string(self, what: str) -> str:
+        """A u32-length-prefixed UTF-8 string."""
+        (n,) = self.unpack("<I", f"{what} length")
+        at = self.pos
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptFile(f"{what} is not valid UTF-8", offset=at + exc.start) from None

@@ -130,6 +130,16 @@ class TestQueryCommand:
         assert any(c["doc_id"] == "mbs" for c in payload["citations"])
 
 
+    def test_corrupt_store_is_data_error(self, workspace, tmp_path, capsys):
+        data = bytearray(workspace["store"].read_bytes())
+        data[22] = 0xFF  # first byte of the first doc id: not UTF-8
+        store = tmp_path / "corrupt.gcev"
+        store.write_bytes(bytes(data))
+        code = main(["query", "--store", str(store), "--prompt", "Amber Basalt"])
+        assert code == 2
+        assert "error_code=CorruptFile" in capsys.readouterr().err
+
+
 class TestComputeCommand:
     def write_fc(self, path, *points):
         doc = {

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from geocontext.georelate import (
     cardinal,
     containment_path,
     haversine,
+    haversine_array,
     initial_bearing,
     point_in_polygon,
     proximity_phrase,
@@ -52,6 +54,15 @@ class TestHaversine:
     @settings(max_examples=50)
     def test_triangle_inequality(self, a, b, c):
         assert haversine(a, c) <= haversine(a, b) + haversine(b, c) + 1e-6 * EARTH_RADIUS_M
+
+    @given(POINTS, st.lists(POINTS, max_size=20))
+    def test_array_matches_scalar(self, a, others):
+        lat = np.array([p.lat for p in others], dtype=np.float64)
+        lon = np.array([p.lon for p in others], dtype=np.float64)
+        got = haversine_array(a, lat, lon)
+        assert got.shape == (len(others),)
+        for d, b in zip(got, others):
+            assert d == pytest.approx(haversine(a, b), rel=1e-12, abs=1e-6)
 
 
 class TestBearing:

@@ -34,9 +34,11 @@ def get(url):
 
 
 def post(url, payload):
-    req = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"), headers={"Content-Type": "application/json"}
-    )
+    return post_raw(url, json.dumps(payload).encode("utf-8"))
+
+
+def post_raw(url, data, headers=None):
+    req = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json", **(headers or {})})
     try:
         with urllib.request.urlopen(req, timeout=5) as resp:
             return resp.status, resp.read()
@@ -79,20 +81,28 @@ class TestQueryEndpoint:
         assert http_bytes == cli_bytes
 
     def test_empty_prompt_is_400(self, running_server):
-        status, body = post(running_server["base"] + "/query", {"prompt": "", "k": 3})
-        assert status == 400
-        assert "error" in json.loads(body)
+        for payload in (
+            {"prompt": "", "k": 3},
+            {"prompt": "Amber Basalt", "time": "nan"},
+            {"prompt": "Amber Basalt", "time": float("inf")},
+        ):
+            status, body = post(running_server["base"] + "/query", payload)
+            assert status == 400, payload
+            assert "error" in json.loads(body)
 
     def test_bad_json_is_400(self, running_server):
-        req = urllib.request.Request(
-            running_server["base"] + "/query", data=b"{not json", headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=5) as resp:
-                status = resp.status
-        except urllib.error.HTTPError as err:
-            status = err.code
-        assert status == 400
+        # Not JSON, JSON that is not an object, and a negative length, on
+        # both POST endpoints.
+        for path in ("/query", "/compute"):
+            for data, headers in (
+                (b"{not json", {}),
+                (b"[1, 2]", {}),
+                (b'"Amber Basalt"', {}),
+                (b"{}", {"Content-Length": "-1"}),
+            ):
+                status, body = post_raw(running_server["base"] + path, data, headers)
+                assert status == 400, (path, data, headers)
+                assert json.loads(body) == {"error": "bad JSON body"}
 
 
 class TestComputeEndpoint:
@@ -126,5 +136,8 @@ class TestComputeEndpoint:
         assert [f["id"] for f in json.loads(body)["document"]["features"]] == ["near"]
 
     def test_unknown_op_400(self, running_server):
-        status, body = post(running_server["base"] + "/compute", {"op": "teleport"})
-        assert status == 400
+        within = {"op": "within-radius", "a": self.fc(("near", 0.0, 0.0)), "center": {"lat": 0.0, "lon": 0.0}}
+        for payload in ({"op": "teleport"}, {**within, "radius_m": "nan"}, {**within, "radius_m": float("inf")}):
+            status, body = post(running_server["base"] + "/compute", payload)
+            assert status == 400, payload
+            assert "error" in json.loads(body)

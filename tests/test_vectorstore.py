@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from geocontext.vectorstore import (
     HybridIndex,
     QuerySpec,
     VectorRecord,
-    geohash_cell_bounds,
     geohash_encode,
 )
 
@@ -85,14 +85,6 @@ class TestGeohash:
         for shorter in range(1, precision):
             assert full[:shorter] == geohash_encode(p, shorter)
 
-    @given(st.floats(-90, 90, allow_nan=False), st.floats(-180, 180, allow_nan=False))
-    def test_cell_bounds_contain_point(self, lat, lon):
-        p = GeoPoint(lat, lon)
-        cell = geohash_encode(p, 7)
-        lat_lo, lat_hi, lon_lo, lon_hi = geohash_cell_bounds(cell)
-        assert lat_lo <= p.lat <= lat_hi
-        assert lon_lo <= p.lon <= lon_hi
-
     def test_precision_validated(self):
         with pytest.raises(ValueError):
             geohash_encode(GeoPoint(0, 0), 0)
@@ -113,13 +105,6 @@ class TestUpsert:
         store = HybridIndex(CFG)
         with pytest.raises(InvalidVectorDim):
             store.upsert(record("a", np.ones(D + 1)))
-
-    def test_cell_assigned_and_consistent(self):
-        store = HybridIndex(CFG)
-        p = GeoPoint(1.3, 103.8)
-        store.upsert(record("a", np.ones(D), point=p))
-        stored = store.get("a")
-        assert stored.cell == geohash_encode(p, CFG.geohash_precision)
 
     def test_vector_stored_unit_norm_f32(self):
         store = HybridIndex(CFG)
@@ -155,12 +140,66 @@ class TestKnn:
             assert engine == oracle_knn(meta, q, 10)
 
     def test_tie_break_by_doc_id(self):
+        # 41 identical records at scattered rows of a 203-row store,
+        # inserted in reverse id order, rank by ascending doc id in knn and
+        # in hybrid search with and without a radius.
+        rng = np.random.default_rng(24)
+        v = unit(rng)
+        here = GeoPoint(1.3, 103.8)
         store = HybridIndex(CFG)
-        v = np.ones(D)
-        store.upsert(record("b", v))
-        store.upsert(record("a", v))
-        hits = store.knn(v, 2)
-        assert [h.doc_id for h in hits] == ["a", "b"]
+        meta = {}
+        for i in reversed(range(203)):
+            doc_id = f"doc{i:03d}"
+            if i % 5 == 2:
+                vec, point = v, here
+            else:
+                vec, point = unit(rng), GeoPoint(float(rng.uniform(1.0, 1.6)), float(rng.uniform(103.5, 104.1)))
+            store.upsert(record(doc_id, vec, point=point))
+            meta[doc_id] = {
+                "vec64": store.get(doc_id).vector.astype(np.float64),
+                "point": point,
+                "window": None,
+                "credibility": 1.0,
+            }
+        tied = [f"doc{i:03d}" for i in range(2, 203, 5)]
+        assert [h.doc_id for h in store.knn(v, len(tied))] == tied == oracle_knn(meta, v, len(tied))
+        for radius in (None, 500.0):
+            q = QuerySpec(text_vector=v, point=here, k=len(tied), radius_filter=radius)
+            assert [h.doc_id for h in store.hybrid_search(q)] == tied == oracle_hybrid(meta, q, CFG)
+
+    def test_results_follow_every_upsert(self):
+        # Query, then add an id, replace a vector and move a point out of
+        # the radius: the next queries see all three writes.
+        store, meta, rng = build_random_store(80, seed=25)
+        qv = unit(rng)
+        specs = [QuerySpec(text_vector=qv, point=GeoPoint(10.0, 20.0), k=10, radius_filter=r) for r in (None, 5e6)]
+
+        def results():
+            got = [[h.doc_id for h in store.knn(qv, 10)]] + [[h.doc_id for h in store.hybrid_search(s)] for s in specs]
+            assert got == [oracle_knn(meta, qv, 10)] + [oracle_hybrid(meta, s, CFG) for s in specs]
+            return got
+
+        def put(doc_id, vec, point, window=None, credibility=1.0):
+            store.upsert(record(doc_id, vec, point=point, window=window, credibility=credibility))
+            meta[doc_id] = {
+                "vec64": store.get(doc_id).vector.astype(np.float64),
+                "point": point,
+                "window": window,
+                "credibility": credibility,
+            }
+
+        knn_before, _, radius_before = results()
+        replaced = knn_before[0]
+        moved = next(doc_id for doc_id in radius_before if doc_id != replaced)
+        put("new", qv, GeoPoint(10.0, 20.0))
+        old = meta[replaced]
+        put(replaced, -qv, old["point"], old["window"], old["credibility"])
+        old = meta[moved]
+        put(moved, old["vec64"], GeoPoint(-50.0, -100.0), old["window"], old["credibility"])
+        knn_after, hybrid_after, radius_after = results()
+        assert knn_after[0] == hybrid_after[0] == radius_after[0] == "new"
+        assert replaced not in knn_after
+        assert moved not in radius_after
 
 
 class TestHybridSearch:
@@ -387,7 +426,50 @@ class TestRelevanceFilter:
             store.relevance_filter([], min_credibility=0.0, dedup_cosine=0.0)
 
 
+def write_v1(path, rows):
+    """A version-1 store file of unlocated, unwindowed records given as
+    (doc_id, vector, credibility, source, text) with raw byte strings."""
+    out = bytearray(b"GCEV" + struct.pack("<HIQ", 1, D, len(rows)))
+    for doc_id, vec, credibility, source, text in rows:
+        out += struct.pack("<I", len(doc_id)) + doc_id + np.asarray(vec, dtype="<f4").tobytes()
+        out += b"\x00" + struct.pack("<d", credibility)
+        out += struct.pack("<I", len(source)) + source + struct.pack("<I", len(text)) + text
+    path.write_bytes(bytes(out))
+
+
+UNIT = np.full(D, 1.0 / math.sqrt(D), dtype=np.float32)
+NAN_VEC = UNIT.copy()
+NAN_VEC[3] = np.nan
+FIRST = (b"a", UNIT, 1.0, b"src", b"text")
+SECOND_AT = 18 + 4 + 1 + 4 * D + 1 + 8 + 4 + 3 + 4 + 4  # header, then FIRST
+VECTOR_AT = SECOND_AT + 4 + 1  # the vector of a second record with a 1-byte id
+CREDIBILITY_AT = VECTOR_AT + 4 * D + 1
+
+
 class TestPersistence:
+    @pytest.mark.parametrize(
+        "second, offset",
+        [
+            ((b"\xff", UNIT, 1.0, b"src", b"text"), SECOND_AT + 4),
+            ((b"b", UNIT, 1.0, b"s\xffc", b"text"), CREDIBILITY_AT + 8 + 4 + 1),
+            ((b"b", UNIT, 1.0, b"src", b"te\xe9t"), CREDIBILITY_AT + 8 + 4 + 3 + 4 + 2),
+            ((b"b", NAN_VEC, 1.0, b"src", b"text"), VECTOR_AT),
+            ((b"b", UNIT, float("nan"), b"src", b"text"), CREDIBILITY_AT),
+            ((b"b", UNIT, float("-inf"), b"src", b"text"), CREDIBILITY_AT),
+            ((b"a", UNIT, 1.0, b"src", b"text"), SECOND_AT),
+        ],
+        ids=["id-not-utf8", "source-not-utf8", "text-not-utf8", "nan-vector", "nan-credibility",
+             "inf-credibility", "duplicate-id"],
+    )
+    def test_malformed_record_raises_corrupt_at_offset(self, tmp_path, second, offset):
+        path = tmp_path / "store.gcev"
+        write_v1(path, [FIRST, (b"b", UNIT, 0.5, b"src", b"text")])
+        assert HybridIndex.load(path, CFG).doc_ids() == ["a", "b"]
+        write_v1(path, [FIRST, second])
+        with pytest.raises(CorruptFile) as err:
+            HybridIndex.load(path, CFG)
+        assert err.value.offset == offset
+
     def test_empty_round_trip(self, tmp_path):
         store = HybridIndex(CFG)
         path = tmp_path / "empty.gcev"
