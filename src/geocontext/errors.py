@@ -10,6 +10,11 @@ class GeoContextError(Exception):
     """Base class for all engine errors."""
 
 
+class InvalidArgument(GeoContextError, ValueError):
+    """A numeric argument outside its domain, such as a negative radius or
+    k < 1. Also a ValueError, for callers that catch ValueError."""
+
+
 # geomodel
 class NonFiniteInput(GeoContextError):
     pass

@@ -21,7 +21,7 @@ from .errors import DatasetParseError, EmptyInput, EmptyPrompt, LengthMismatch
 from .geomodel import GeoPoint
 from .georelate import haversine
 from .geotext.gazetteer import Gazetteer
-from .ragctx import OfflineResponder, analyze_prompt_cfg, assemble_prompt, respond, retrieve_context
+from .ragctx import answer_prompt
 from .vectorstore import HybridIndex
 
 
@@ -205,14 +205,14 @@ def run_eval(
 ) -> EvalReport:
     """Evaluate the retrieval pipeline over a JSONL dataset.
 
-    Each case runs analyze -> retrieve -> OfflineResponder; metrics aggregate
-    only over cases carrying the relevant truth field. With radius_m set,
+    Each case runs `answer_prompt` with the OfflineResponder: the ranked doc
+    ids are its citations in rank order, the answer is its response. Metrics
+    aggregate only over cases carrying the relevant truth field. With radius_m set,
     precision switches to the radius variant: a case hits when a top-k record
     point falls within that radius of the truth point.
     """
     cases = parse_dataset(dataset_path, strict=strict)
     g = gazetteer if gazetteer is not None else Gazetteer()
-    responder = OfflineResponder()
 
     rows: list[CaseRow] = []
     doc_results: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
@@ -222,12 +222,11 @@ def run_eval(
 
     for i, case in enumerate(cases):
         try:
-            analysis = analyze_prompt_cfg(case.query, g, config)
+            payload = answer_prompt(store, g, case.query, k, config)
         except EmptyPrompt:
             raise DatasetParseError("empty query", line=i + 1) from None
-        ctx = retrieve_context(analysis, store, k, config)
-        answer = respond(assemble_prompt(case.query, ctx, max_context_chars=config.max_context_chars), responder)
-        ranked = tuple(p.doc_id for p in ctx.passages)
+        answer = payload["response"]
+        ranked = tuple(c["doc_id"] for c in payload["citations"])
         top = ranked[0] if ranked else None
 
         err = None
@@ -236,14 +235,7 @@ def run_eval(
             if top_rec is not None and top_rec.point is not None:
                 err = haversine(top_rec.point, case.truth_point)
                 spatial_errors.append(err)
-            point_results.append(
-                (
-                    tuple(
-                        (store.get(d).point if store.get(d) else None) for d in ranked
-                    ),
-                    case.truth_point,
-                )
-            )
+            point_results.append((tuple(store.get(d).point for d in ranked), case.truth_point))
 
         rel = None
         if case.reference_answer is not None:

@@ -17,9 +17,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyInput, NonPositiveSpeed, ParseError, UnsupportedGeometry
+import numpy as np
+
+from .errors import EmptyInput, InvalidArgument, NonPositiveSpeed, ParseError, UnsupportedGeometry
 from .geomodel import GeoPoint
-from .georelate import haversine
+# `haversine` is not called here; the benchmark's call counter (perfbench/tracer.py) looks it up.
+from .georelate import haversine, haversine_array  # noqa: F401
 
 SUPPORTED_GEOMETRIES = ("Point", "Polygon")
 
@@ -44,6 +47,11 @@ class FeatureSet:
 
     def representative_points(self) -> list[GeoPoint]:
         return [representative_point(f) for f in self.features]
+
+    def representative_lat_lon(self) -> tuple[np.ndarray, np.ndarray]:
+        """Latitudes and longitudes of the representative points, as float64 arrays."""
+        points = self.representative_points()
+        return np.array([p.lat for p in points]), np.array([p.lon for p in points])
 
 
 def representative_point(feature: Feature) -> GeoPoint:
@@ -134,12 +142,13 @@ def _stats(values: list[float]) -> str:
 
 
 def distance_matrix(a: FeatureSet, b: FeatureSet) -> ComputeResult:
-    """|A|x|B| matrix of great-circle meters between representative points."""
+    """|A|x|B| matrix of great-circle meters between representative points.
+
+    One array call per row of A, so no |A|x|B| temporaries are held."""
     if len(a) == 0 or len(b) == 0:
         raise EmptyInput("distance_matrix requires non-empty feature sets")
-    pts_a = a.representative_points()
-    pts_b = b.representative_points()
-    matrix = [[haversine(pa, pb) for pb in pts_b] for pa in pts_a]
+    lat_b, lon_b = b.representative_lat_lon()
+    matrix = [haversine_array(pa, lat_b, lon_b).tolist() for pa in a.representative_points()]
     flat = [v for row in matrix for v in row]
     document = {
         "rows": [f.id for f in a.features],
@@ -154,11 +163,15 @@ def nearest_join(a: FeatureSet, b: FeatureSet) -> ComputeResult:
     """For each feature of A, the closest feature of B (ties by ascending id)."""
     if len(a) == 0 or len(b) == 0:
         raise EmptyInput("nearest_join requires non-empty feature sets")
-    pts_b = list(zip(b.features, b.representative_points()))
+    # B in ascending id order: argmin returns the first minimum, the smallest id.
+    by_id = sorted(range(len(b)), key=lambda j: b.features[j].id)
+    ids_b = [b.features[j].id for j in by_id]
+    lat_b, lon_b = (col[by_id] for col in b.representative_lat_lon())
     pairs: list[tuple[str, str, float]] = []
     for fa, pa in zip(a.features, a.representative_points()):
-        best = min(((haversine(pa, pb), fb.id) for fb, pb in pts_b), key=lambda t: (t[0], t[1]))
-        pairs.append((fa.id, best[1], best[0]))
+        d = haversine_array(pa, lat_b, lon_b)
+        j = int(np.argmin(d))
+        pairs.append((fa.id, ids_b[j], float(d[j])))
     distances = [d for _, _, d in pairs]
     document = {
         "type": "FeatureCollection",
@@ -173,19 +186,18 @@ def nearest_join(a: FeatureSet, b: FeatureSet) -> ComputeResult:
 
 def within_radius(a: FeatureSet, center: GeoPoint, r: float) -> ComputeResult:
     """Subset of A within r meters of center, ascending by distance then id."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    hits = []
-    for f, p in zip(a.features, a.representative_points()):
-        d = haversine(center, p)
-        if d <= r:
-            hits.append((d, f.id, f))
-    hits.sort(key=lambda t: (t[0], t[1]))
-    subset = [(f.id, d) for d, _, f in hits]
-    distances = [d for _, d in subset]
+    if not (math.isfinite(r) and r >= 0):
+        raise InvalidArgument(f"radius must be finite and >= 0, got {r}")
+    d = haversine_array(center, *a.representative_lat_lon())
+    hits = sorted(
+        ((float(d[i]), a.features[i].id, a.features[i]) for i in np.flatnonzero(d <= r)),
+        key=lambda t: (t[0], t[1]),
+    )
+    subset = [(f.id, dist) for dist, _, f in hits]
+    distances = [dist for _, dist in subset]
     document = {
         "type": "FeatureCollection",
-        "features": [_point_feature(f, {"distance_m": d}) for d, _, f in hits],
+        "features": [_point_feature(f, {"distance_m": dist}) for dist, _, f in hits],
     }
     summary = (
         f"within_radius: {len(a)} features, center ({center.lat}, {center.lon}), "

@@ -35,19 +35,18 @@ PROXIMITY_FAR = "far from"
 
 def haversine(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> float:
     """Great-circle distance in meters via the haversine formula."""
-    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return radius_m * 2.0 * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+    return float(haversine_array(a, np.array([b.lat]), np.array([b.lon]), radius_m)[0])
 
 
 def haversine_array(a: GeoPoint, lat: np.ndarray, lon: np.ndarray, radius_m: float = EARTH_RADIUS_M) -> np.ndarray:
-    """`haversine` from `a` to every (lat, lon) pair, as a float64 array in meters."""
+    """Great-circle meters from `a` to every (lat, lon) pair, as a float64
+    array: the engine's one haversine. An element does not depend on its
+    position, so `haversine` equals it. `h` is clamped to 1 because rounding
+    lifts it past 1 for near-antipodal pairs, where `sqrt(1 - h)` is NaN."""
     phi1, phi2 = math.radians(a.lat), np.radians(lat)
     dphi = np.radians(lat - a.lat)
     dlam = np.radians(lon - a.lon)
-    h = np.sin(dphi / 2.0) ** 2 + math.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    h = np.minimum(np.sin(dphi / 2.0) ** 2 + math.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2, 1.0)
     return radius_m * 2.0 * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DuplicateId, MissingHeader, RowError
 from .geomodel import GeoPoint, LandmarkRecord, TimeWindow
-from .georelate import haversine
 from .spatial_embed import embed_text, make_composite, text_tokens
 from .vectorstore import HybridIndex, VectorRecord
 
@@ -98,21 +97,6 @@ def load_gazetteer(path: str | Path, strict: bool = False) -> tuple[list[Landmar
             seen.add(record.id)
             records.append(record)
         return records, diagnostics
-
-
-def query_by_location(
-    records: Iterable[LandmarkRecord], p: GeoPoint, radius: float
-) -> list[LandmarkRecord]:
-    """Records within radius meters of p, ascending by distance then id."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    hits = []
-    for r in records:
-        d = haversine(p, r.point)
-        if d <= radius:
-            hits.append((d, r.id, r))
-    hits.sort(key=lambda t: (t[0], t[1]))
-    return [r for _, _, r in hits]
 
 
 def score_relevance(
@@ -228,6 +212,22 @@ def quality_filter(
     return kept, report
 
 
+def _index_record(rec: LandmarkRecord, text: str, store: HybridIndex, config: EngineConfig) -> None:
+    """Composite-embed one landmark record and upsert it under its id."""
+    composite = make_composite(rec, event_text=rec.event_text, config=config)
+    store.upsert(
+        VectorRecord(
+            doc_id=rec.id,
+            vector=composite.standardized,
+            point=rec.point,
+            window=rec.window,
+            credibility=rec.credibility,
+            source=rec.source,
+            text=text,
+        )
+    )
+
+
 def index_gazetteer(
     records: Iterable[LandmarkRecord],
     store: HybridIndex,
@@ -239,18 +239,7 @@ def index_gazetteer(
     """
     count = 0
     for rec in records:
-        composite = make_composite(rec, event_text=rec.event_text, config=config)
-        store.upsert(
-            VectorRecord(
-                doc_id=rec.id,
-                vector=composite.standardized,
-                point=rec.point,
-                window=rec.window,
-                credibility=rec.credibility,
-                source=rec.source,
-                text=f"{rec.name}: {rec.description}" if rec.description else rec.name,
-            )
-        )
+        _index_record(rec, f"{rec.name}: {rec.description}" if rec.description else rec.name, store, config)
         count += 1
     return count
 
@@ -263,7 +252,6 @@ def index_descriptions(
 ) -> int:
     """Index kept description candidates as separate records anchored at the
     landmark's point, ids suffixed #d0, #d1, ..."""
-    count = 0
     for i, cand in enumerate(candidates):
         pseudo = LandmarkRecord(
             id=f"{landmark.id}#d{i}",
@@ -275,17 +263,5 @@ def index_descriptions(
             credibility=cand.credibility,
             window=landmark.window,
         )
-        composite = make_composite(pseudo, config=config)
-        store.upsert(
-            VectorRecord(
-                doc_id=pseudo.id,
-                vector=composite.standardized,
-                point=pseudo.point,
-                window=pseudo.window,
-                credibility=pseudo.credibility,
-                source=cand.source,
-                text=cand.text,
-            )
-        )
-        count += 1
-    return count
+        _index_record(pseudo, cand.text, store, config)
+    return len(candidates)

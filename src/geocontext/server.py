@@ -18,12 +18,15 @@ import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import GeoContextError
+from .errors import GeoContextError, InvalidArgument
 from .geocompute import distance_matrix, nearest_join, parse_feature_collection, within_radius
 from .geomodel import GeoPoint
 from .geotext.gazetteer import Gazetteer
 from .ragctx import answer_prompt, payload_json
 from .vectorstore import HybridIndex
+
+# Largest k a POST /query may ask for: the relevance filter is quadratic in k.
+MAX_K = 100
 
 
 def _finite(value, name: str) -> float:
@@ -44,7 +47,7 @@ def _compute_payload(body: dict) -> dict:
         result = within_radius(
             parse_feature_collection(body["a"]),
             GeoPoint(float(center["lat"]), float(center["lon"])),
-            _finite(body["radius_m"], "radius_m"),
+            float(body["radius_m"]),
         )
     else:
         raise ValueError(f"unknown compute op {op!r}")
@@ -84,11 +87,14 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             if self.path == "/query":
+                k = int(body.get("k", 5))
+                if k > MAX_K:
+                    raise InvalidArgument(f"k must be <= {MAX_K}, got {k}")
                 payload = answer_prompt(
                     self.server.store,
                     self.server.gazetteer,
                     body.get("prompt", ""),
-                    int(body.get("k", 5)),
+                    k,
                     self.server.config,
                     time=_finite(body["time"], "time") if body.get("time") is not None else None,
                 )
@@ -97,7 +103,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, _compute_payload(body))
             else:
                 self._send(404, {"error": "not found"})
-        except (GeoContextError, ValueError, KeyError, TypeError) as exc:
+        except (GeoContextError, ValueError, KeyError, TypeError, OverflowError) as exc:
             self._send(400, {"error": f"{type(exc).__name__}: {exc}"})
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_CONFIG, WEIGHT_TOL, EngineConfig
-from .errors import CorruptFile, InvalidVectorDim, InvalidWeights, VersionMismatch
+from .errors import CorruptFile, GeoContextError, InvalidArgument, InvalidVectorDim, InvalidWeights, VersionMismatch
 from .geomodel import GeoPoint, TimeWindow
 from .georelate import haversine_array
 
@@ -98,7 +98,7 @@ class QuerySpec:
         if min(w_t, w_s, w_d) < 0 or abs(w_t + w_s + w_d - 1.0) > WEIGHT_TOL:
             raise InvalidWeights(f"weights {self.weights} must be nonnegative and sum to 1")
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise InvalidArgument(f"k must be >= 1, got {self.k}")
         if self.radius_filter is not None and self.point is None:
             raise ValueError("radius_filter requires a query point")
 
@@ -297,8 +297,8 @@ class HybridIndex:
         """Read a store file; answers every query identically to the saved
         store. Raises CorruptFile (with byte offset) for truncation, trailing
         bytes, text that is not UTF-8, a non-finite vector component or
-        credibility, or a duplicate doc id; VersionMismatch for an unknown
-        format version."""
+        credibility, an invalid point or window, or a duplicate doc id;
+        VersionMismatch for an unknown format version."""
         data = Path(path).read_bytes()
         reader = _Reader(data)
         magic = reader.take(4, "magic")
@@ -323,11 +323,9 @@ class HybridIndex:
             (flags,) = reader.unpack("<B", "flags")
             point = window = None
             if flags & 1:
-                lat, lon = reader.unpack("<dd", "point")
-                point = GeoPoint(lat, lon)
+                point = reader.value(GeoPoint, "<dd", "point")
             if flags & 2:
-                start, end = reader.unpack("<dd", "window")
-                window = TimeWindow(start, end)
+                window = reader.value(TimeWindow, "<dd", "window")
             credibility_at = reader.pos
             (credibility,) = reader.unpack("<d", "credibility")
             if not math.isfinite(credibility):
@@ -369,6 +367,16 @@ class _Reader:
     def unpack(self, fmt: str, what: str):
         size = struct.calcsize(fmt)
         return struct.unpack(fmt, self.take(size, what))
+
+    def value(self, cls, fmt: str, what: str):
+        """`cls` built from the unpacked fields; a value it rejects (say a NaN
+        latitude, or a window start after its end) is CorruptFile at the field."""
+        at = self.pos
+        fields = self.unpack(fmt, what)
+        try:
+            return cls(*fields)
+        except (GeoContextError, ValueError) as exc:
+            raise CorruptFile(f"bad {what}: {exc}", offset=at) from None
 
     def string(self, what: str) -> str:
         """A u32-length-prefixed UTF-8 string."""

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from geocontext.fixtures import (
     write_eval_dataset,
     write_gazetteer_csv,
 )
+from geocontext.georelate import EARTH_RADIUS_M
 from geocontext.geotext import subword_train
 
 
@@ -173,10 +175,29 @@ class TestComputeCommand:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert [f["id"] for f in doc["features"]] == ["near"]
 
-    def test_missing_b_is_data_error(self, tmp_path, capsys):
+    def test_near_antipodal_distance_matrix(self, tmp_path, capsys):
+        a = self.write_fc(tmp_path / "a.geojson", ("a", -83.59841063608013, -140.89987463008316))
+        b = self.write_fc(tmp_path / "b.geojson", ("b", 83.59841063493201, 39.100125367551286))
+        out = tmp_path / "matrix.json"
+        code = main(["compute", "--op", "distance-matrix", "--a", str(a), "--b", str(b), "--out", str(out)])
+        assert code == 0
+        [[d]] = json.loads(out.read_text(encoding="utf-8"))["meters"]
+        assert d == pytest.approx(math.pi * EARTH_RADIUS_M, rel=1e-9)
+
+    def test_missing_b_is_data_error(self, workspace, tmp_path, capsys):
+        # Also out-of-domain numbers: exit 2 with an error code, never a traceback.
         a = self.write_fc(tmp_path / "a.geojson", ("p", 0, 0))
-        code = main(["compute", "--op", "nearest-join", "--a", str(a), "--out", str(tmp_path / "o")])
-        assert code == 2
+        compute = ["compute", "--a", str(a), "--out", str(tmp_path / "o")]
+        within = [*compute, "--op", "within-radius", "--center", "0, 0", "--radius-m"]
+        for argv in (
+            [*compute, "--op", "nearest-join"],
+            [*within, "-1"],
+            [*within, "nan"],
+            [*within, "inf"],
+            ["query", "--store", str(workspace["store"]), "--prompt", "Where is it?", "--k", "0"],
+        ):
+            assert main(argv) == 2, argv
+            assert "error_code=" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -46,6 +46,15 @@ class TestHaversine:
         assert d == pytest.approx(distance_3d(a, b, EARTH_RADIUS_M), rel=1e-6)
         assert d == pytest.approx(distance_law_of_cosines(a, b, EARTH_RADIUS_M), rel=1e-6)
 
+    def test_near_antipodal_pair_is_finite(self):
+        # Rounding puts the haversine term just above 1 for this pair.
+        a = GeoPoint(-83.59841063608013, -140.89987463008316)
+        b = GeoPoint(83.59841063493201, 39.100125367551286)
+        half_circumference = math.pi * EARTH_RADIUS_M
+        assert haversine(a, b) == pytest.approx(half_circumference, rel=1e-9)
+        [d] = haversine_array(a, np.array([b.lat]), np.array([b.lon]))
+        assert d == pytest.approx(half_circumference, rel=1e-9)
+
     @given(POINTS, POINTS)
     def test_symmetry(self, a, b):
         assert haversine(a, b) == haversine(b, a)

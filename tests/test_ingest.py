@@ -7,7 +7,6 @@ from geocontext import DEFAULT_CONFIG
 from geocontext.errors import DuplicateId, MissingHeader, RowError
 from geocontext.fixtures import build_landmarks, write_gazetteer_csv
 from geocontext.geomodel import GeoPoint, LandmarkRecord
-from geocontext.geocompute import FeatureSet, Feature, within_radius
 from geocontext.ingest import (
     DescriptionCandidate,
     FixtureFetcher,
@@ -15,7 +14,6 @@ from geocontext.ingest import (
     index_gazetteer,
     load_gazetteer,
     quality_filter,
-    query_by_location,
     score_relevance,
 )
 from geocontext.spatial_embed import embed_text, query_vector, text_tokens
@@ -91,23 +89,6 @@ class TestLoadGazetteer:
         assert by_id["mbs"].window == landmarks[-2].window
         assert by_id["mbs"].event_text == landmarks[-2].event_text
         assert by_id["sg"].point == landmarks[-1].point
-
-
-class TestQueryByLocation:
-    def test_zero_radius_exact(self, landmarks):
-        target = landmarks[0]
-        hits = query_by_location(landmarks, target.point, 0.0)
-        assert [r.id for r in hits] == [target.id]
-
-    def test_empty_when_out_of_range(self, landmarks):
-        assert query_by_location(landmarks, GeoPoint(-80, 0), 1000.0) == []
-
-    def test_matches_within_radius_oracle(self, landmarks):
-        center = GeoPoint(1.28, 103.76)
-        radius = 5000.0
-        fs = FeatureSet(features=tuple(Feature(id=r.id, geometry=r.point) for r in landmarks))
-        oracle_ids = [fid for fid, _ in within_radius(fs, center, radius).payload]
-        assert [r.id for r in query_by_location(landmarks, center, radius)] == oracle_ids
 
 
 class TestScoreRelevance:

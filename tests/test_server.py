@@ -85,6 +85,9 @@ class TestQueryEndpoint:
             {"prompt": "", "k": 3},
             {"prompt": "Amber Basalt", "time": "nan"},
             {"prompt": "Amber Basalt", "time": float("inf")},
+            {"prompt": "Amber Basalt", "k": 101},
+            {"prompt": "Amber Basalt", "k": 1e9},
+            {"prompt": "Amber Basalt", "k": float("inf")},
         ):
             status, body = post(running_server["base"] + "/query", payload)
             assert status == 400, payload

@@ -427,12 +427,18 @@ class TestRelevanceFilter:
 
 
 def write_v1(path, rows):
-    """A version-1 store file of unlocated, unwindowed records given as
-    (doc_id, vector, credibility, source, text) with raw byte strings."""
+    """A version-1 store file of records given as (doc_id, vector,
+    credibility, source, text) with raw byte strings, optionally followed by
+    a (lat, lon) point and a (start, end) window, each of which may be None."""
     out = bytearray(b"GCEV" + struct.pack("<HIQ", 1, D, len(rows)))
-    for doc_id, vec, credibility, source, text in rows:
+    for doc_id, vec, credibility, source, text, *extra in rows:
+        point, window = (*extra, None, None)[:2]
         out += struct.pack("<I", len(doc_id)) + doc_id + np.asarray(vec, dtype="<f4").tobytes()
-        out += b"\x00" + struct.pack("<d", credibility)
+        out += struct.pack("<B", (point is not None) | (window is not None) << 1)
+        for pair in (point, window):
+            if pair is not None:
+                out += struct.pack("<dd", *pair)
+        out += struct.pack("<d", credibility)
         out += struct.pack("<I", len(source)) + source + struct.pack("<I", len(text)) + text
     path.write_bytes(bytes(out))
 
@@ -443,7 +449,7 @@ NAN_VEC[3] = np.nan
 FIRST = (b"a", UNIT, 1.0, b"src", b"text")
 SECOND_AT = 18 + 4 + 1 + 4 * D + 1 + 8 + 4 + 3 + 4 + 4  # header, then FIRST
 VECTOR_AT = SECOND_AT + 4 + 1  # the vector of a second record with a 1-byte id
-CREDIBILITY_AT = VECTOR_AT + 4 * D + 1
+CREDIBILITY_AT = VECTOR_AT + 4 * D + 1  # also where a flagged point or window starts
 
 
 class TestPersistence:
@@ -457,13 +463,16 @@ class TestPersistence:
             ((b"b", UNIT, float("nan"), b"src", b"text"), CREDIBILITY_AT),
             ((b"b", UNIT, float("-inf"), b"src", b"text"), CREDIBILITY_AT),
             ((b"a", UNIT, 1.0, b"src", b"text"), SECOND_AT),
+            ((b"b", UNIT, 1.0, b"src", b"text", (float("nan"), 0.0)), CREDIBILITY_AT),
+            ((b"b", UNIT, 1.0, b"src", b"text", (91.0, 0.0)), CREDIBILITY_AT),
+            ((b"b", UNIT, 1.0, b"src", b"text", None, (5.0, 1.0)), CREDIBILITY_AT),
         ],
         ids=["id-not-utf8", "source-not-utf8", "text-not-utf8", "nan-vector", "nan-credibility",
-             "inf-credibility", "duplicate-id"],
+             "inf-credibility", "duplicate-id", "nan-latitude", "latitude-out-of-range", "window-reversed"],
     )
     def test_malformed_record_raises_corrupt_at_offset(self, tmp_path, second, offset):
         path = tmp_path / "store.gcev"
-        write_v1(path, [FIRST, (b"b", UNIT, 0.5, b"src", b"text")])
+        write_v1(path, [FIRST, (b"b", UNIT, 0.5, b"src", b"text", (1.5, 2.5), (1.0, 5.0))])
         assert HybridIndex.load(path, CFG).doc_ids() == ["a", "b"]
         write_v1(path, [FIRST, second])
         with pytest.raises(CorruptFile) as err:
