@@ -12,9 +12,11 @@ vertices for distance purposes (documented approximation).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -67,22 +69,32 @@ def representative_point(feature: Feature) -> GeoPoint:
     return GeoPoint(lat, lon)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_position(pos, where: str) -> GeoPoint:
     if not isinstance(pos, (list, tuple)) or len(pos) < 2:
         raise ParseError(f"{where}: position must be [lon, lat]")
     lon, lat = pos[0], pos[1]
-    if not isinstance(lon, (int, float)) or not isinstance(lat, (int, float)):
+    if not _is_number(lon) or not _is_number(lat):
         raise ParseError(f"{where}: non-numeric coordinates")
-    return GeoPoint(float(lat), float(lon))
+    try:
+        return GeoPoint(float(lat), float(lon))
+    except OverflowError as exc:  # an integer literal beyond float range
+        raise ParseError(f"{where}: coordinate out of range") from exc
 
 
 def parse_feature_collection(doc: dict) -> FeatureSet:
     """Build a FeatureSet from a decoded FeatureCollection document."""
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("expected a FeatureCollection document")
+    raw_features = doc.get("features", [])
+    if not isinstance(raw_features, list):
+        raise ParseError("FeatureCollection \"features\" must be an array")
     features: list[Feature] = []
     seen_ids: set[str] = set()
-    for i, raw in enumerate(doc.get("features", [])):
+    for i, raw in enumerate(raw_features):
         where = f"feature {i}"
         if not isinstance(raw, dict) or raw.get("type") != "Feature":
             raise ParseError(f"{where}: expected a Feature object")
@@ -94,7 +106,7 @@ def parse_feature_collection(doc: dict) -> FeatureSet:
             geometry: GeoPoint | tuple[GeoPoint, ...] = _parse_position(geom.get("coordinates"), where)
         elif gtype == "Polygon":
             rings = geom.get("coordinates")
-            if not isinstance(rings, list) or not rings:
+            if not isinstance(rings, list) or not rings or not isinstance(rings[0], list):
                 raise ParseError(f"{where}: polygon needs at least one ring")
             geometry = tuple(_parse_position(pos, where) for pos in rings[0])
             if len(geometry) < 4:
@@ -135,10 +147,13 @@ class ComputeResult:
     document: dict
 
 
-def _stats(values: list[float]) -> str:
-    if not values:
+def _stats(rows: list[list[float]]) -> str:
+    """min, max and mean over every value of rows, taken in row-major order."""
+    n = sum(map(len, rows))
+    if not n:
         return "min=n/a max=n/a mean=n/a"
-    return f"min={min(values)!r} max={max(values)!r} mean={math.fsum(values) / len(values)!r}"
+    values = itertools.chain.from_iterable
+    return f"min={min(values(rows))!r} max={max(values(rows))!r} mean={math.fsum(values(rows)) / n!r}"
 
 
 def distance_matrix(a: FeatureSet, b: FeatureSet) -> ComputeResult:
@@ -149,13 +164,12 @@ def distance_matrix(a: FeatureSet, b: FeatureSet) -> ComputeResult:
         raise EmptyInput("distance_matrix requires non-empty feature sets")
     lat_b, lon_b = b.representative_lat_lon()
     matrix = [haversine_array(pa, lat_b, lon_b).tolist() for pa in a.representative_points()]
-    flat = [v for row in matrix for v in row]
     document = {
         "rows": [f.id for f in a.features],
         "cols": [f.id for f in b.features],
         "meters": matrix,
     }
-    summary = f"distance_matrix: {len(a)}x{len(b)} features; {_stats(flat)} (meters)"
+    summary = f"distance_matrix: {len(a)}x{len(b)} features; {_stats(matrix)} (meters)"
     return ComputeResult(kind="distance_matrix", payload=matrix, summary=summary, document=document)
 
 
@@ -180,7 +194,7 @@ def nearest_join(a: FeatureSet, b: FeatureSet) -> ComputeResult:
             for (fa, (_, bid, d)) in zip(a.features, pairs)
         ],
     }
-    summary = f"nearest_join: {len(a)}x{len(b)} features; {_stats(distances)} (meters)"
+    summary = f"nearest_join: {len(a)}x{len(b)} features; {_stats([distances])} (meters)"
     return ComputeResult(kind="nearest_join", payload=pairs, summary=summary, document=document)
 
 
@@ -201,15 +215,19 @@ def within_radius(a: FeatureSet, center: GeoPoint, r: float) -> ComputeResult:
     }
     summary = (
         f"within_radius: {len(a)} features, center ({center.lat}, {center.lon}), "
-        f"radius {r} m, {len(subset)} inside; {_stats(distances)} (meters)"
+        f"radius {r} m, {len(subset)} inside; {_stats([distances])} (meters)"
     )
     return ComputeResult(kind="within_radius", payload=subset, summary=summary, document=document)
 
 
+def _check_speed(speed: float) -> None:
+    if not (math.isfinite(speed) and speed > 0):
+        raise NonPositiveSpeed(f"speed must be finite and > 0, got {speed}")
+
+
 def travel_time(d: float, speed: float) -> float:
     """Seconds to cover d meters at a constant speed in m/s."""
-    if speed <= 0:
-        raise NonPositiveSpeed(f"speed must be > 0, got {speed}")
+    _check_speed(speed)
     return d / speed
 
 
@@ -217,17 +235,15 @@ def travel_time_result(distances: ComputeResult, speed: float) -> ComputeResult:
     """Convert a distance_matrix result into travel durations at constant speed."""
     if distances.kind != "distance_matrix":
         raise ValueError(f"expected a distance_matrix result, got {distances.kind}")
-    if speed <= 0:
-        raise NonPositiveSpeed(f"speed must be > 0, got {speed}")
+    _check_speed(speed)
     matrix = [[v / speed for v in row] for row in distances.payload]
-    flat = [v for row in matrix for v in row]
     document = {
         "rows": distances.document["rows"],
         "cols": distances.document["cols"],
         "seconds": matrix,
     }
     n_rows, n_cols = len(matrix), len(matrix[0])
-    summary = f"travel_time: {n_rows}x{n_cols} features at {speed} m/s; {_stats(flat)} (seconds)"
+    summary = f"travel_time: {n_rows}x{n_cols} features at {speed} m/s; {_stats(matrix)} (seconds)"
     return ComputeResult(kind="travel_time", payload=matrix, summary=summary, document=document)
 
 
@@ -241,11 +257,43 @@ def _point_feature(f: Feature, extra_props: dict) -> dict:
     }
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _indented_json(obj, pad: str = "") -> str:
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2), nested at pad.
+
+    With an indent, CPython 3.11's json runs its pure-Python encoder, one
+    generator step per value. Here strings go straight to the C string
+    encoder, other leaves through json.dumps, and a list holding only ints
+    and floats is one C call whose ", " separators are re-spaced: no
+    number's JSON contains ", ".
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = (f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}" for k, v in sorted(obj.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        sep = ",\n" + inner
+        if set(map(type, obj)) <= _NUMBER_TYPES:
+            body = json.dumps(obj)[1:-1].replace(", ", sep)
+        else:
+            body = sep.join(_indented_json(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        # Empty, or with keys json converts to strings. The output of
+        # ensure_ascii holds no raw newline, so every "\n" is indentation.
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(obj)
+
+
 def write_result(result: ComputeResult, out_path: str | Path) -> Path:
     """Write the result document to out_path and the analysis summary next to
     it as <out_path>.summary.txt; returns the summary path."""
     out = Path(out_path)
-    out.write_text(json.dumps(result.document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    out.write_text(_indented_json(result.document) + "\n", encoding="utf-8")
     summary_path = out.with_name(out.name + ".summary.txt")
     summary_path.write_text(result.summary + "\n", encoding="utf-8")
     return summary_path

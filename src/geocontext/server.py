@@ -27,6 +27,9 @@ from .vectorstore import HybridIndex
 
 # Largest k a POST /query may ask for: the relevance filter is quadratic in k.
 MAX_K = 100
+# Largest request body read, in bytes: a 20k-feature inline /compute
+# FeatureCollection is about 3 MB.
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 
 def _finite(value, name: str) -> float:
@@ -79,6 +82,9 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:
                 raise ValueError("negative Content-Length")
+            if length > MAX_BODY_BYTES:
+                self._send(400, {"error": f"body larger than {MAX_BODY_BYTES} bytes"})
+                return
             body = json.loads(self.rfile.read(length).decode("utf-8")) if length else {}
             if not isinstance(body, dict):
                 raise ValueError("body is not a JSON object")

@@ -199,6 +199,22 @@ class TestComputeCommand:
             assert main(argv) == 2, argv
             assert "error_code=" in capsys.readouterr().err
 
+    def test_malformed_collection_is_parse_error(self, tmp_path, capsys):
+        def feature(geometry):
+            return {"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": geometry}]}
+
+        for doc in (
+            {"type": "FeatureCollection", "features": 5},
+            feature({"type": "Polygon", "coordinates": [5]}),
+            feature({"type": "Point", "coordinates": [True, False]}),
+        ):
+            a = tmp_path / "a.geojson"
+            a.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["compute", "--op", "within-radius", "--a", str(a), "--center", "0, 0",
+                    "--radius-m", "1000", "--out", str(tmp_path / "o")]
+            assert main(argv) == 2, doc
+            assert "error_code=ParseError" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_eval_writes_report(self, workspace, capsys, tmp_path):

@@ -1,12 +1,13 @@
 import json
-import re
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geocontext.errors import EmptyInput, NonPositiveSpeed, ParseError, UnsupportedGeometry
 from geocontext.geocompute import (
+    ComputeResult,
     FeatureSet,
     distance_matrix,
     load_geo_file,
@@ -107,6 +108,23 @@ class TestLoadGeoFile:
         fs = parse_feature_collection(fc(polygon=ring))
         assert representative_point(fs.features[0]) == GeoPoint(1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"type": "FeatureCollection", "features": 5},
+            {"type": "FeatureCollection", "features": [
+                {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [5]}}]},
+            {"type": "FeatureCollection", "features": [
+                {"type": "Feature", "geometry": {"type": "Point", "coordinates": [True, False]}}]},
+            fc(polygon=[[0, 0], [2, 0], [2, True], [0, 2], [0, 0]]),
+            fc(polygon=[[0, 0], [2, 0], [2, 10**400], [0, 2], [0, 0]]),
+        ],
+        ids=["features-number", "polygon-ring-number", "point-bools", "polygon-bool", "int-overflow"],
+    )
+    def test_malformed_collection_is_parse_error(self, doc):
+        with pytest.raises(ParseError):
+            parse_feature_collection(doc)
+
 
 class TestDistanceMatrix:
     def test_identical_single_points(self):
@@ -146,14 +164,11 @@ class TestDistanceMatrix:
             distance_matrix(a, empty)
 
     def test_summary_stats_match_payload(self):
-        a = pts(("a0", 0, 0), ("a1", 1, 1))
-        b = pts(("b0", 2, 2), ("b1", 3, 3))
-        result = distance_matrix(a, b)
-        flat = [v for row in result.payload for v in row]
-        m = re.search(r"min=([\d.e+-]+) max=([\d.e+-]+) mean=([\d.e+-]+)", result.summary)
-        assert float(m.group(1)) == pytest.approx(min(flat), rel=1e-9)
-        assert float(m.group(2)) == pytest.approx(max(flat), rel=1e-9)
-        assert float(m.group(3)) == pytest.approx(sum(flat) / len(flat), rel=1e-9)
+        a = pts(*[(f"a{i}", i * 1.7 - 40, i * 3.1 - 90) for i in range(7)])
+        b = pts(*[(f"b{i}", 30 - i * 2.3, i * 5.9) for i in range(5)])
+        for result in (distance_matrix(a, b), travel_time_result(distance_matrix(a, b), 7.0)):
+            flat = [v for row in result.payload for v in row]
+            assert f"min={min(flat)!r} max={max(flat)!r} mean={math.fsum(flat) / len(flat)!r}" in result.summary
 
 
 class TestNearestJoin:
@@ -236,6 +251,14 @@ class TestTravelTime:
         with pytest.raises(NonPositiveSpeed):
             travel_time(1000, 0)
 
+    @pytest.mark.parametrize("speed", [math.nan, math.inf])
+    def test_non_finite_speed_rejected(self, speed):
+        distances = distance_matrix(pts(("a0", 0, 0)), pts(("b0", 0, 1)))
+        with pytest.raises(NonPositiveSpeed):
+            travel_time(1000, speed)
+        with pytest.raises(NonPositiveSpeed):
+            travel_time_result(distances, speed)
+
     def test_matrix_durations(self):
         a = pts(("a0", 0, 0))
         b = pts(("b0", 0, 1))
@@ -272,3 +295,63 @@ class TestWriteResult:
         write_result(distance_matrix(a, a), out1)
         write_result(distance_matrix(a, a), out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def reference_bytes(document) -> bytes:
+    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+# Strings that stress the encoder: ", " (the separator the writer re-spaces),
+# non-ASCII, control characters and quotes.
+_strings = st.text() | st.sampled_from(["", ", ", "a, b", '", "', "caf\u00e9", "\U0001f600", "\x00\n\t\\"])
+_numbers = st.integers() | st.floats() | st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf])
+_values = st.recursive(
+    st.none() | st.booleans() | _numbers | _strings,
+    lambda inner: (
+        st.lists(inner, max_size=6)
+        | st.lists(_numbers, max_size=6)
+        | st.lists(_numbers | _strings, max_size=6)
+        | st.dictionaries(_strings, inner, max_size=6)
+    ),
+    max_leaves=20,
+)
+
+
+class TestWriteResultBytes:
+    """write_result writes exactly what json.dumps(sort_keys=True, indent=2) does."""
+
+    @given(st.dictionaries(_strings, _values, max_size=6))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_json_dumps(self, tmp_path, document):
+        out = tmp_path / "doc.json"
+        write_result(ComputeResult(kind="doc", payload=None, summary="", document=document), out)
+        assert out.read_bytes() == reference_bytes(document)
+
+    def test_all_ops_match_json_dumps(self, tmp_path):
+        properties = {
+            "name": "Caf\u00e9, \"Quay\"\n",
+            "score": math.nan,
+            "limits": [-math.inf, math.inf, -0.0, 5e-324, 3],
+            "labels": ["a, b", 2, 0.5],
+            "mixed": [1, "a, b", None, True, 2.5, [], {}],
+            "nested": {"empty": {}, "list": [], "deep": [[1.5, 2], ["x", ", "]]},
+        }
+        doc = fc(("p0", 1.25, 103.5), ("p1", 1.3, 103.9), ("p2", -33.9, 151.2),
+                 polygon=[[103.8, 1.2], [103.9, 1.2], [103.9, 1.3], [103.8, 1.2]])
+        for feature in doc["features"]:
+            feature["properties"] = properties
+        a = parse_feature_collection(doc)
+        b = pts(("b0", 1.3, 103.8), ("b1", 0, 0))
+        matrix = distance_matrix(a, b)
+        results = [
+            matrix,
+            travel_time_result(matrix, 13.9),
+            nearest_join(a, b),
+            within_radius(a, GeoPoint(1.3, 103.8), 50_000.0),
+            # Non-string keys, which json.dumps converts before writing.
+            ComputeResult(kind="doc", payload=None, summary="", document={"k": {2: [1.5], 1: {False: None}}}),
+        ]
+        for i, result in enumerate(results):
+            out = tmp_path / f"{i}.json"
+            write_result(result, out)
+            assert out.read_bytes() == reference_bytes(result.document), result.kind

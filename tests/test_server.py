@@ -9,7 +9,7 @@ from geocontext import DEFAULT_CONFIG
 from geocontext.cli import main
 from geocontext.fixtures import build_landmarks, build_store, write_gazetteer_csv
 from geocontext.geotext import Gazetteer
-from geocontext.server import make_server
+from geocontext.server import MAX_BODY_BYTES, make_server
 
 CFG = DEFAULT_CONFIG
 
@@ -106,6 +106,16 @@ class TestQueryEndpoint:
                 status, body = post_raw(running_server["base"] + path, data, headers)
                 assert status == 400, (path, data, headers)
                 assert json.loads(body) == {"error": "bad JSON body"}
+
+    def test_body_over_cap_is_400_unread(self, running_server):
+        # Only two bytes follow the header: a server that tried to read the
+        # declared length would block until the client timed out.
+        for path in ("/query", "/compute"):
+            status, body = post_raw(
+                running_server["base"] + path, b"{}", {"Content-Length": str(MAX_BODY_BYTES + 1)}
+            )
+            assert status == 400, path
+            assert json.loads(body) == {"error": f"body larger than {MAX_BODY_BYTES} bytes"}
 
 
 class TestComputeEndpoint:
