@@ -9,6 +9,7 @@ errors so config drift is caught immediately.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,12 +66,17 @@ class EngineConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.d_loc % 4 != 0:
             raise ConfigError("d_loc must be a multiple of 4 (sin/cos pairs per scale)")
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if abs(self.w_t + self.w_s + self.w_d - 1.0) > WEIGHT_TOL:
             raise ConfigError("weights w_t + w_s + w_d must sum to 1")
         if min(self.w_t, self.w_s, self.w_d) < 0:
             raise ConfigError("weights must be nonnegative")
         if self.lambda_m <= 0:
             raise ConfigError("lambda_m must be > 0")
+        if self.earth_radius_m <= 0:
+            raise ConfigError("earth_radius_m must be > 0")
         if self.cardinal_ways not in (8, 16):
             raise ConfigError("cardinal_ways must be 8 or 16")
         if not 0.0 <= self.min_credibility <= 1.0:

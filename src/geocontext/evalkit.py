@@ -19,7 +19,7 @@ from typing import Sequence
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DatasetParseError, EmptyInput, EmptyPrompt, LengthMismatch
 from .geomodel import GeoPoint
-from .georelate import haversine
+from .georelate import check_radius, haversine
 from .geotext.gazetteer import Gazetteer
 from .ragctx import answer_prompt
 from .vectorstore import HybridIndex
@@ -76,6 +76,7 @@ def precision_at_k_radius(
     radius_m of the truth point."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    check_radius(radius_m)
     if len(result_points) != len(truth_points):
         raise LengthMismatch(f"{len(result_points)} result lists vs {len(truth_points)} truth points")
     if not result_points:
@@ -211,6 +212,8 @@ def run_eval(
     precision switches to the radius variant: a case hits when a top-k record
     point falls within that radius of the truth point.
     """
+    if radius_m is not None:
+        check_radius(radius_m)
     cases = parse_dataset(dataset_path, strict=strict)
     g = gazetteer if gazetteer is not None else Gazetteer()
 

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidArgument, NonPositiveSpeed, ParseError, UnsupportedGeometry
+from .errors import EmptyInput, NonPositiveSpeed, ParseError, UnsupportedGeometry
 from .geomodel import GeoPoint
 # `haversine` is not called here; the benchmark's call counter (perfbench/tracer.py) looks it up.
-from .georelate import haversine, haversine_array  # noqa: F401
+from .georelate import check_radius, haversine, haversine_array  # noqa: F401
 
 SUPPORTED_GEOMETRIES = ("Point", "Polygon")
 
@@ -200,8 +200,7 @@ def nearest_join(a: FeatureSet, b: FeatureSet) -> ComputeResult:
 
 def within_radius(a: FeatureSet, center: GeoPoint, r: float) -> ComputeResult:
     """Subset of A within r meters of center, ascending by distance then id."""
-    if not (math.isfinite(r) and r >= 0):
-        raise InvalidArgument(f"radius must be finite and >= 0, got {r}")
+    check_radius(r)
     d = haversine_array(center, *a.representative_lat_lon())
     hits = sorted(
         ((float(d[i]), a.features[i].id, a.features[i]) for i in np.flatnonzero(d <= r)),

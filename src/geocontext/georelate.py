@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import DegeneratePolygon, EmptyPath, MissingPoint, UndefinedBearing
+from .errors import DegeneratePolygon, EmptyPath, InvalidArgument, MissingPoint, UndefinedBearing
 from .geomodel import AdminArea, GeoPoint, LandmarkRecord
 
 EARTH_RADIUS_M = DEFAULT_CONFIG.earth_radius_m
@@ -31,6 +31,13 @@ CARDINAL_16 = (
 PROXIMITY_ADJACENT = "adjacent to"
 PROXIMITY_CLOSE = "close to"
 PROXIMITY_FAR = "far from"
+
+
+def check_radius(radius_m: float) -> None:
+    """The rule for every radius the engine takes: finite and >= 0, else
+    InvalidArgument."""
+    if not (math.isfinite(radius_m) and radius_m >= 0):
+        raise InvalidArgument(f"radius must be finite and >= 0, got {radius_m}")
 
 
 def haversine(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> float:
@@ -97,6 +104,7 @@ def proximity_phrase(
     """Qualitative proximity token for a distance, thresholds overridable."""
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
+    check_radius(radius_m)
     if d < adjacent_m:
         return PROXIMITY_ADJACENT
     if d < close_m:

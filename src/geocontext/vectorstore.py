@@ -2,11 +2,12 @@
 windows, searched by a weighted combination of text similarity, spatial
 proximity decay, and temporal window overlap.
 
-Search is exact: every query scores every record in one vectorised scan (one
-dot product per row for text similarity, haversine and exp for spatial
-proximity, masks for credibility and radius) and takes the top k with a
-stable sort over rows in doc_id order, so ties break on ascending doc_id and
-every hit list is reproducible.
+Search is exact: every query masks the store by credibility and radius
+first, then scores the eligible rows in one vectorised pass (one dot product
+per row for text similarity, haversine and exp for spatial proximity) and
+selects the top k with a partition plus a stable sort of the rows that tie
+with or beat the k-th score. Rows are in doc_id order, so ties break on
+ascending doc_id and every hit list is reproducible.
 
 Persistence is a little-endian binary format (magic "GCEV") designed for
 bit-exact round-trips: vectors are stored and kept in float32, and all
@@ -26,10 +27,17 @@ import numpy as np
 from .config import DEFAULT_CONFIG, WEIGHT_TOL, EngineConfig
 from .errors import CorruptFile, GeoContextError, InvalidArgument, InvalidVectorDim, InvalidWeights, VersionMismatch
 from .geomodel import GeoPoint, TimeWindow
-from .georelate import haversine_array
+from .georelate import check_radius, haversine_array
 
 MAGIC = b"GCEV"
 FORMAT_VERSION = 1
+
+# `_scan` copies out and scores only the eligible rows when they are at most
+# this share of the store; above it, one `np.vecdot` over the whole matrix
+# beats the copy. At 50,000 x 256 (2-vCPU Xeon, numpy 2.4): 10% eligible,
+# gathered 3.4 ms against 11.6 ms for the full scan; 25%, 11.3 against
+# 11.1 ms; 50%, 30 against 12.8 ms.
+_GATHER_SHARE = 1 / 8
 
 GEOHASH_BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
 
@@ -95,12 +103,14 @@ class QuerySpec:
 
     def __post_init__(self):
         w_t, w_s, w_d = self.weights
-        if min(w_t, w_s, w_d) < 0 or abs(w_t + w_s + w_d - 1.0) > WEIGHT_TOL:
-            raise InvalidWeights(f"weights {self.weights} must be nonnegative and sum to 1")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights) or abs(w_t + w_s + w_d - 1.0) > WEIGHT_TOL:
+            raise InvalidWeights(f"weights {self.weights} must be finite, nonnegative and sum to 1")
         if self.k < 1:
             raise InvalidArgument(f"k must be >= 1, got {self.k}")
-        if self.radius_filter is not None and self.point is None:
-            raise ValueError("radius_filter requires a query point")
+        if self.radius_filter is not None:
+            if self.point is None:
+                raise ValueError("radius_filter requires a query point")
+            check_radius(self.radius_filter)
 
 
 @dataclass(frozen=True)
@@ -190,14 +200,18 @@ class HybridIndex:
             return existed
 
     def _scan(self, q: QuerySpec) -> list[ScoredHit]:
-        """The q.k best eligible records, scoring every row of the snapshot
-        at once. Rows are in ascending doc_id order and the sort is stable,
-        so ties break on doc_id. Text similarity is `np.vecdot`, one `np.dot`
-        per row: a BLAS matrix-vector product rounds equal rows differently
-        depending on their position, which would break ties."""
+        """The q.k best eligible records. The credibility and radius masks
+        come first; when at most `_GATHER_SHARE` of the rows pass them, only
+        those rows are scored. Text similarity is `np.vecdot`, one `np.dot`
+        per row, so a row scores the same bits gathered or not: a BLAS
+        matrix-vector product rounds equal rows differently depending on
+        their position, which would break ties. Rows are in ascending doc_id
+        order and `_top_k` ranks like a stable sort, so ties break on doc_id."""
         qv = np.asarray(q.text_vector, dtype=np.float64).reshape(-1)
         if qv.shape != (self.config.d_text,):
             raise InvalidVectorDim(f"query length {qv.shape[0]} != d_text {self.config.d_text}")
+        if not np.all(np.isfinite(qv)):
+            raise InvalidVectorDim("query vector has non-finite components")
         norm = float(np.linalg.norm(qv))
         if norm > 0.0:
             qv = qv / norm
@@ -205,26 +219,28 @@ class HybridIndex:
             if self._columns is None:
                 self._columns = _Columns.build(self._records, self.config.d_text)
             cols = self._columns
-        text = np.vecdot(cols.matrix, qv)
         eligible = cols.credibility >= q.min_credibility
-        if q.point is None:
-            spatial = np.ones_like(text)
-        else:
+        if q.point is not None:
             d = haversine_array(q.point, cols.lat, cols.lon, self.config.earth_radius_m)
-            spatial = np.where(cols.has_point, np.exp(-d / self.config.lambda_m), 0.0)
             if q.radius_filter is not None:
                 eligible &= cols.has_point & (d <= q.radius_filter)
-        if q.time is None:
-            temporal = np.ones_like(text)
+        rows = np.flatnonzero(eligible)
+        if rows.size <= _GATHER_SHARE * len(cols.ids):
+            text = np.vecdot(cols.matrix[rows], qv)
         else:
-            temporal = ((cols.start <= q.time) & (q.time <= cols.end)).astype(np.float64)
+            text = np.vecdot(cols.matrix, qv)[rows]
+        # A query without a point or a time gives every row 1.0 in that term.
+        spatial = temporal = 1.0
+        if q.point is not None:
+            spatial = np.where(cols.has_point[rows], np.exp(-d[rows] / self.config.lambda_m), 0.0)
+        if q.time is not None:
+            temporal = ((cols.start[rows] <= q.time) & (q.time <= cols.end[rows])).astype(np.float64)
         w_t, w_s, w_d = q.weights
         combined = w_t * text + w_s * spatial + w_d * temporal
-        rows = np.flatnonzero(eligible)
-        top = rows[np.argsort(-combined[rows], kind="stable")[: q.k]]
+        spatial, temporal = np.broadcast_to(spatial, text.shape), np.broadcast_to(temporal, text.shape)
         return [
-            ScoredHit(cols.ids[i], float(combined[i]), float(text[i]), float(spatial[i]), float(temporal[i]))
-            for i in top
+            ScoredHit(cols.ids[rows[i]], float(combined[i]), float(text[i]), float(spatial[i]), float(temporal[i]))
+            for i in _top_k(combined, q.k)
         ]
 
     def knn(self, text_vector, k: int) -> list[ScoredHit]:
@@ -342,6 +358,19 @@ class HybridIndex:
         if reader.pos != len(data):
             raise CorruptFile("trailing bytes after last record", offset=reader.pos)
         return store
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k highest scores, equal scores in ascending position:
+    `np.argsort(-scores, kind="stable")[:k]` for finite scores, but the
+    stable sort runs only over the rows at least as good as the k-th best,
+    which `np.partition` finds (every row tied with it included). A full
+    stable sort of 50,000 scores takes about 7 ms, the partition 0.2 ms."""
+    neg = -scores
+    if k >= neg.size:
+        return np.argsort(neg, kind="stable")
+    band = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    return band[np.argsort(neg[band], kind="stable")[:k]]
 
 
 def _prefixed(text: str) -> bytes:

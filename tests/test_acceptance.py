@@ -147,7 +147,7 @@ def test_criterion_03_search_exactness(random_store):
             radius_filter=float(rng.uniform(5e4, 5e6)),
         )
         assert [h.doc_id for h in store.hybrid_search(q_pruned)] == oracle_hybrid(meta, q_pruned, CFG)
-    budget.done(3, "knn + hybrid + cell-prefiltered match naive oracle on 1000x100")
+    budget.done(3, "knn + hybrid + radius-filtered match naive oracle on 1000x100")
 
 
 def test_criterion_04_degenerate_weights_equal_knn(random_store):

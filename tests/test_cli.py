@@ -238,6 +238,15 @@ class TestEvalCommand:
         doc = json.loads((tmp_path / "radius_report.json").read_text(encoding="utf-8"))
         assert doc["precision_at_k"]["1"] == 1.0
 
+    def test_eval_bad_radius_is_invalid_argument(self, workspace, capsys, tmp_path):
+        for radius in ("-5", "nan", "inf"):
+            code = main(
+                ["eval", "--store", str(workspace["store"]), "--dataset", str(workspace["dataset"]),
+                 "--k", "3", "--out", str(tmp_path / "report"), "--radius-m", radius]
+            )
+            assert code == 2, radius
+            assert "error_code=InvalidArgument" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_dump_load_round_trip(self, tmp_path):
@@ -258,5 +267,32 @@ class TestConfigFile:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense_key = 1\n", encoding="utf-8")
         code = main(["--config", str(bad), "ingest", "--gazetteer", str(gaz), "--store", str(store)])
+        assert code == 2
+        assert "error_code=ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"w_t": math.nan, "w_s": 0.5, "w_d": 0.5},
+            {"w_t": 0.5, "w_s": math.inf, "w_d": 0.5},
+            {"lambda_m": math.nan},
+            {"lambda_m": math.inf},
+            {"earth_radius_m": math.nan},
+            {"earth_radius_m": -1.0},
+            {"earth_radius_m": 0.0},
+        ],
+    )
+    def test_non_finite_or_non_positive_scale_is_config_error(self, fields):
+        from geocontext.config import EngineConfig
+        from geocontext.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            EngineConfig(**fields)
+
+    def test_nan_weight_in_config_file_exits_2(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text("w_t = nan\nw_s = 0.5\nw_d = 0.5\n", encoding="utf-8")
+        code = main(["--config", str(cfg_path), "query", "--store", str(workspace["store"]),
+                     "--prompt", "Where is Marina Bay Sands?", "--json"])
         assert code == 2
         assert "error_code=ConfigError" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geocontext import DEFAULT_CONFIG
-from geocontext.errors import DatasetParseError, EmptyInput, LengthMismatch
+from geocontext.errors import DatasetParseError, EmptyInput, InvalidArgument, LengthMismatch
 from geocontext.evalkit import (
     EvalCase,
     contextual_relevance,
@@ -88,6 +88,11 @@ class TestPrecisionAtK:
         results = [[GeoPoint(0, 0), GeoPoint(10, 10)], [GeoPoint(50, 50)]]
         truths = [GeoPoint(0, 0.001), GeoPoint(-50, -50)]
         assert precision_at_k_radius(results, truths, 2, radius_m=500.0) == 0.5
+
+    @pytest.mark.parametrize("radius_m", [-5.0, float("nan"), float("inf")])
+    def test_radius_variant_rejects_bad_radius(self, radius_m):
+        with pytest.raises(InvalidArgument):
+            precision_at_k_radius([[GeoPoint(0, 0)]], [GeoPoint(0, 0)], 1, radius_m=radius_m)
 
 
 class TestContextualRelevance:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import bearing_3d, distance_3d, distance_law_of_cosines, winding_number_inside
 
-from geocontext.errors import DegeneratePolygon, EmptyPath, UndefinedBearing
+from geocontext.errors import DegeneratePolygon, EmptyPath, InvalidArgument, UndefinedBearing
 from geocontext.geomodel import AdminArea, GeoPoint, LandmarkRecord
 from geocontext.georelate import (
     CARDINAL_8,
@@ -139,6 +139,11 @@ class TestProximityPhrase:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             proximity_phrase(-1, 100)
+
+    def test_bad_radius_rejected(self):
+        for radius_m in (-5.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidArgument):
+                proximity_phrase(50, radius_m)
 
 
 UNIT_SQUARE = (GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 1), GeoPoint(1, 0))

@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from oracles import geohash_by_quantization, oracle_hybrid, oracle_knn
 
 from geocontext import DEFAULT_CONFIG
-from geocontext.errors import CorruptFile, InvalidVectorDim, InvalidWeights, VersionMismatch
+from geocontext import vectorstore
+from geocontext.errors import CorruptFile, InvalidArgument, InvalidVectorDim, InvalidWeights, VersionMismatch
 from geocontext.geomodel import GeoPoint, TimeWindow
+from geocontext.georelate import haversine_array
 from geocontext.vectorstore import (
     HybridIndex,
     QuerySpec,
@@ -57,6 +60,49 @@ def build_random_store(n, seed=0, with_points=True, with_windows=True):
             "credibility": credibility,
         }
     return store, meta, rng
+
+
+HERE = GeoPoint(1.3, 103.8)
+TIED = [f"doc{i:03d}" for i in range(2, 203, 5)]  # 41 rows with one vector at HERE
+ABOVE = [f"doc{i:03d}" for i in range(13, 203, 50)]  # 4 rows that outscore them
+
+
+def tied_store(above: bool):
+    """203 records inserted in reverse id order: the TIED rows share one
+    vector and point; with `above`, the ABOVE rows hold the query vector
+    itself at the same point, so they rank over the tied band. Returns the
+    store, its oracle metadata and the query vector."""
+    rng = np.random.default_rng(24)
+    v = unit(rng)
+    q = unit(rng) if above else v
+    if above:
+        v = (q + 0.3 * v) / np.linalg.norm(q + 0.3 * v)
+    store = HybridIndex(CFG)
+    meta = {}
+    for i in reversed(range(203)):
+        doc_id = f"doc{i:03d}"
+        if doc_id in TIED:
+            vec, point = v, HERE
+        elif above and doc_id in ABOVE:
+            vec, point = q, HERE
+        else:
+            vec, point = unit(rng), GeoPoint(float(rng.uniform(1.0, 1.6)), float(rng.uniform(103.5, 104.1)))
+        store.upsert(record(doc_id, vec, point=point))
+        meta[doc_id] = {
+            "vec64": store.get(doc_id).vector.astype(np.float64),
+            "point": point,
+            "window": None,
+            "credibility": 1.0,
+        }
+    return store, meta, q
+
+
+def full_sort(store, q: QuerySpec) -> list:
+    """The first q.k hits of a stable sort by descending score over every
+    eligible hit in doc_id order: the ranking rule, applied to the engine's
+    own scores without its top-k selection."""
+    every = store.hybrid_search(replace(q, k=max(len(store), 1)))
+    return sorted(sorted(every, key=lambda h: h.doc_id), key=lambda h: -h.combined)[: q.k]
 
 
 class TestGeohash:
@@ -140,32 +186,29 @@ class TestKnn:
             assert engine == oracle_knn(meta, q, 10)
 
     def test_tie_break_by_doc_id(self):
-        # 41 identical records at scattered rows of a 203-row store,
-        # inserted in reverse id order, rank by ascending doc id in knn and
-        # in hybrid search with and without a radius.
-        rng = np.random.default_rng(24)
-        v = unit(rng)
-        here = GeoPoint(1.3, 103.8)
-        store = HybridIndex(CFG)
-        meta = {}
-        for i in reversed(range(203)):
-            doc_id = f"doc{i:03d}"
-            if i % 5 == 2:
-                vec, point = v, here
-            else:
-                vec, point = unit(rng), GeoPoint(float(rng.uniform(1.0, 1.6)), float(rng.uniform(103.5, 104.1)))
-            store.upsert(record(doc_id, vec, point=point))
-            meta[doc_id] = {
-                "vec64": store.get(doc_id).vector.astype(np.float64),
-                "point": point,
-                "window": None,
-                "credibility": 1.0,
-            }
-        tied = [f"doc{i:03d}" for i in range(2, 203, 5)]
-        assert [h.doc_id for h in store.knn(v, len(tied))] == tied == oracle_knn(meta, v, len(tied))
-        for radius in (None, 500.0):
-            q = QuerySpec(text_vector=v, point=here, k=len(tied), radius_filter=radius)
-            assert [h.doc_id for h in store.hybrid_search(q)] == tied == oracle_hybrid(meta, q, CFG)
+        # A band of 41 equal scores at scattered rows, inserted in reverse id
+        # order, with and without rows scored above it; the k-th best score
+        # falls before, inside, at either end of, or past the band. knn and
+        # hybrid search, with and without a radius, put every tied row in
+        # the answer in ascending doc id order.
+        for above in (False, True):
+            store, meta, q = tied_store(above)
+            ranked = (ABOVE if above else []) + TIED
+            for k in (1, 10, 40, 41, 42):
+                knn = [h.doc_id for h in store.knn(q, k)]
+                assert knn == oracle_knn(meta, q, k)
+                assert knn[: len(ranked)] == ranked[:k]
+                for radius in (None, 500.0):
+                    spec = QuerySpec(text_vector=q, point=HERE, k=k, radius_filter=radius)
+                    hits = store.hybrid_search(spec)
+                    assert hits == full_sort(store, spec)
+                    ids = [h.doc_id for h in hits]
+                    assert ids == oracle_hybrid(meta, spec, CFG)
+                    assert ids[: len(ranked)] == ranked[:k]
+                    # Only the tied and ABOVE rows lie within 500 m: k = 42
+                    # without ABOVE asks for more rows than are eligible.
+                    if radius is not None:
+                        assert ids == ranked[:k]
 
     def test_results_follow_every_upsert(self):
         # Query, then add an id, replace a vector and move a point out of
@@ -295,6 +338,22 @@ class TestHybridSearch:
             QuerySpec(text_vector=np.ones(D), weights=(0.5, 0.2, 0.1))
         with pytest.raises(InvalidWeights):
             QuerySpec(text_vector=np.ones(D), weights=(1.5, -0.4, -0.1))
+        for weights in ((math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (math.inf, 0.0, 0.0)):
+            with pytest.raises(InvalidWeights):
+                QuerySpec(text_vector=np.ones(D), weights=weights)
+
+    @pytest.mark.parametrize("radius", [-5.0, math.nan, math.inf])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(InvalidArgument):
+            QuerySpec(text_vector=np.ones(D), point=GeoPoint(0, 0), radius_filter=radius)
+
+    def test_non_finite_query_vector_rejected(self):
+        store, _, _ = build_random_store(5, seed=13)
+        for bad in (math.nan, math.inf):
+            qv = np.ones(D)
+            qv[7] = bad
+            with pytest.raises(InvalidVectorDim):
+                store.knn(qv, 3)
 
     def test_radius_without_point_rejected(self):
         with pytest.raises(ValueError):
@@ -313,6 +372,92 @@ class TestHybridSearch:
         knn_ids = [h.doc_id for h in store.knn(q, 10)]
         hybrid_ids = [h.doc_id for h in store.hybrid_search(QuerySpec(text_vector=q, k=10, weights=(1.0, 0.0, 0.0)))]
         assert knn_ids == hybrid_ids
+
+
+class TestTopK:
+    def test_no_eligible_row(self):
+        store, _, q = tied_store(above=True)
+        for spec in (
+            QuerySpec(text_vector=q, point=GeoPoint(-40.0, -70.0), k=5, radius_filter=1000.0),
+            QuerySpec(text_vector=q, k=5, min_credibility=1.5),
+        ):
+            assert store.hybrid_search(spec) == []
+        assert HybridIndex(CFG).knn(q, 3) == []
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_equals_full_stable_sort(self, data):
+        # Stores drawn from a few vectors, points, windows and credibilities,
+        # so equal scores are common; every query kind and k, including k
+        # past the eligible rows, must rank as the full stable sort does.
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(1, 60))
+        vectors = [unit(rng) for _ in range(data.draw(st.integers(1, 4)))]
+        points = [None, HERE, GeoPoint(1.31, 103.8), GeoPoint(1.5, 104.0)]
+        windows = [None, TimeWindow(0.0, 10.0)]
+        store = HybridIndex(CFG)
+        for i in range(n):
+            store.upsert(record(
+                f"doc{i:02d}",
+                vectors[int(rng.integers(len(vectors)))],
+                point=points[int(rng.integers(len(points)))],
+                window=windows[int(rng.integers(len(windows)))],
+                credibility=float(rng.choice([0.2, 0.6, 1.0])),
+            ))
+        qv = vectors[0] if data.draw(st.booleans()) else unit(rng)
+        k = data.draw(st.integers(1, n + 3))
+        spec = QuerySpec(
+            text_vector=qv,
+            point=data.draw(st.sampled_from([None, HERE, GeoPoint(1.4, 103.9)])),
+            time=data.draw(st.sampled_from([None, 5.0, 50.0])),
+            k=k,
+            weights=data.draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), CFG.weights])),
+            min_credibility=data.draw(st.sampled_from([0.0, 0.5, 0.8])),
+        )
+        if spec.point is not None and data.draw(st.booleans()):
+            spec = replace(spec, radius_filter=data.draw(st.sampled_from([0.0, 1500.0, 30_000.0])))
+        assert store.hybrid_search(spec) == full_sort(store, spec)
+        knn_spec = QuerySpec(text_vector=qv, k=k, weights=(1.0, 0.0, 0.0), min_credibility=-math.inf)
+        knn = [(h.doc_id, h.combined, h.text_sim) for h in store.knn(qv, k)]
+        assert knn == [(h.doc_id, h.combined, h.text_sim) for h in full_sort(store, knn_spec)]
+
+
+class TestRadiusPruning:
+    """A radius query gathers and scores only its eligible rows when they
+    are at most `_GATHER_SHARE` of the store, and scans every row above it;
+    both give the same hits, field for field, as the full scan."""
+
+    @pytest.mark.parametrize("share", [0.01, 0.05, 0.12, 0.14, 0.3, 0.6])
+    @pytest.mark.parametrize("variant", ["plain", "timed", "credible"])
+    def test_pruned_equals_full_scan(self, monkeypatch, share, variant):
+        store, meta, rng = build_random_store(400, seed=26)
+        centre = GeoPoint(10.0, 20.0)
+        ids = store.doc_ids()
+        lat = np.array([meta[i]["point"].lat if meta[i]["point"] else 0.0 for i in ids])
+        lon = np.array([meta[i]["point"].lon if meta[i]["point"] else 0.0 for i in ids])
+        located = np.array([meta[i]["point"] is not None for i in ids])
+        d = np.sort(haversine_array(centre, lat, lon, CFG.earth_radius_m)[located])
+        # The radius alone keeps about `share` of the rows ("credible" then
+        # halves that); the shares fall on both sides of the cut-off.
+        radius = float(d[int(share * len(ids))])
+        eligible = int(np.count_nonzero(d <= radius))
+        assert (eligible <= vectorstore._GATHER_SHARE * len(ids)) == (share < vectorstore._GATHER_SHARE)
+        spec = QuerySpec(
+            text_vector=unit(rng), point=centre, k=len(ids), radius_filter=radius,
+            time=5e8 if variant == "timed" else None,
+            min_credibility=0.5 if variant == "credible" else 0.0,
+        )
+        default = store.hybrid_search(spec)
+        assert [h.doc_id for h in default] == oracle_hybrid(meta, spec, CFG)
+        monkeypatch.setattr(vectorstore, "_GATHER_SHARE", 0.0)  # always the full scan
+        full = store.hybrid_search(spec)
+        monkeypatch.setattr(vectorstore, "_GATHER_SHARE", 1.0)  # always gather
+        gathered = store.hybrid_search(spec)
+        assert len(default) > 0
+        for a, b, c in zip(default, full, gathered, strict=True):
+            for field in ("doc_id", "combined", "text_sim", "spatial_prox", "temporal_rel"):
+                assert getattr(a, field) == getattr(b, field) == getattr(c, field), field
 
 
 class TestCombinedMonotonicity:
