@@ -14,7 +14,6 @@ store, prompt, and config.
 from __future__ import annotations
 
 import json
-import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -30,13 +29,6 @@ MAX_K = 100
 # Largest request body read, in bytes: a 20k-feature inline /compute
 # FeatureCollection is about 3 MB.
 MAX_BODY_BYTES = 32 * 1024 * 1024
-
-
-def _finite(value, name: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return number
 
 
 def _compute_payload(body: dict) -> dict:
@@ -102,7 +94,7 @@ class _Handler(BaseHTTPRequestHandler):
                     body.get("prompt", ""),
                     k,
                     self.server.config,
-                    time=_finite(body["time"], "time") if body.get("time") is not None else None,
+                    time=float(body["time"]) if body.get("time") is not None else None,
                 )
                 self._send(200, payload)
             elif self.path == "/compute":

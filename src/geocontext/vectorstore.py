@@ -3,15 +3,19 @@ windows, searched by a weighted combination of text similarity, spatial
 proximity decay, and temporal window overlap.
 
 Search is exact: every query masks the store by credibility and radius
-first, then scores the eligible rows in one vectorised pass (one dot product
-per row for text similarity, haversine and exp for spatial proximity) and
-selects the top k with a partition plus a stable sort of the rows that tie
-with or beat the k-th score. Rows are in doc_id order, so ties break on
-ascending doc_id and every hit list is reproducible.
+first, then filters and refines. One float32 matrix-vector product gives
+approximate text scores for the eligible rows, and only the rows whose
+approximate combined score comes within a proven float32 error bound of the
+k-th best are rescored exactly (one float64 dot product per row for text
+similarity, haversine and exp for spatial proximity). The top k of those come
+from a partition plus a stable sort of the rows that tie with or beat the
+k-th score. Rows are in doc_id order, so ties break on ascending doc_id and
+every hit list is reproducible.
 
 Persistence is a little-endian binary format (magic "GCEV") designed for
-bit-exact round-trips: vectors are stored and kept in float32, and all
-similarity math runs in float64 from those exact values.
+bit-exact round-trips: vectors are stored and kept in float32. Every score a
+query returns is float64 math on those exact values; float32 arithmetic only
+decides which rows are worth scoring.
 """
 
 from __future__ import annotations
@@ -32,12 +36,17 @@ from .georelate import check_radius, haversine_array
 MAGIC = b"GCEV"
 FORMAT_VERSION = 1
 
-# `_scan` copies out and scores only the eligible rows when they are at most
-# this share of the store; above it, one `np.vecdot` over the whole matrix
-# beats the copy. At 50,000 x 256 (2-vCPU Xeon, numpy 2.4): 10% eligible,
-# gathered 3.4 ms against 11.6 ms for the full scan; 25%, 11.3 against
-# 11.1 ms; 50%, 30 against 12.8 ms.
-_GATHER_SHARE = 1 / 8
+# `_may_rank` copies out the eligible rows for its float32 scores when they
+# are at most this share of the store; above it, one float32 product over
+# the whole matrix beats the copy. A located radius query at 50,000 x 256
+# (2-vCPU Xeon, numpy 2.4, haversine included, medians of 80) took, gathered
+# against whole-matrix: 10% eligible, 6.7 against 7.8 ms; 12.5%, 6.7 against
+# 7.5; 15%, 6.9 against 7.3; 20%, 8.2 against 7.3; 25%, 9.2 against 7.1.
+_GATHER_SHARE = 1 / 6
+
+# Exact text scores widen this many float32 rows to float64 at a time: the
+# 512 KB block stays in cache, and no N x d float64 copy is ever made.
+_WIDEN_ROWS = 256
 
 GEOHASH_BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
 
@@ -107,6 +116,12 @@ class QuerySpec:
             raise InvalidWeights(f"weights {self.weights} must be finite, nonnegative and sum to 1")
         if self.k < 1:
             raise InvalidArgument(f"k must be >= 1, got {self.k}")
+        # A NaN time matches no window and a NaN floor no row; -inf is a
+        # legal floor (`knn` keeps every row with it).
+        if self.time is not None and not math.isfinite(self.time):
+            raise InvalidArgument(f"time must be finite, got {self.time}")
+        if math.isnan(self.min_credibility) or self.min_credibility == math.inf:
+            raise InvalidArgument(f"min_credibility must not be NaN or +inf, got {self.min_credibility}")
         if self.radius_filter is not None:
             if self.point is None:
                 raise ValueError("radius_filter requires a query point")
@@ -128,7 +143,8 @@ class _Columns:
     order, that `HybridIndex` scores queries against."""
 
     ids: list[str]
-    matrix: np.ndarray  # N x d float64, widened from the stored float32
+    matrix: np.ndarray  # N x d float32, the stored vectors themselves
+    norm_max: float  # the largest row norm of `matrix`, for the float32 error bound
     lat: np.ndarray
     lon: np.ndarray
     has_point: np.ndarray
@@ -140,9 +156,13 @@ class _Columns:
     def build(cls, records: dict[str, VectorRecord], dim: int) -> "_Columns":
         ids = sorted(records)
         rows = [records[doc_id] for doc_id in ids]
+        matrix = np.array([r.vector for r in rows], dtype=np.float32).reshape(len(rows), dim)
+        # einsum casts through small buffers, so no float64 copy of `matrix`.
+        squares = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
         return cls(
             ids=ids,
-            matrix=np.array([r.vector for r in rows], dtype=np.float64).reshape(len(rows), dim),
+            matrix=matrix,
+            norm_max=math.sqrt(squares.max()) if len(rows) else 0.0,
             lat=np.array([r.point.lat if r.point is not None else 0.0 for r in rows], dtype=np.float64),
             lon=np.array([r.point.lon if r.point is not None else 0.0 for r in rows], dtype=np.float64),
             has_point=np.array([r.point is not None for r in rows], dtype=bool),
@@ -201,12 +221,14 @@ class HybridIndex:
 
     def _scan(self, q: QuerySpec) -> list[ScoredHit]:
         """The q.k best eligible records. The credibility and radius masks
-        come first; when at most `_GATHER_SHARE` of the rows pass them, only
-        those rows are scored. Text similarity is `np.vecdot`, one `np.dot`
-        per row, so a row scores the same bits gathered or not: a BLAS
-        matrix-vector product rounds equal rows differently depending on
-        their position, which would break ties. Rows are in ascending doc_id
-        order and `_top_k` ranks like a stable sort, so ties break on doc_id."""
+        come first. Then `_may_rank` keeps the eligible rows whose float32
+        approximate score is within its error bound of the k-th best, and
+        only those are scored exactly: text similarity is `np.vecdot` on the
+        rows widened to float64, one `np.dot` per row, so a row scores the
+        same bits whichever rows are scored with it (a BLAS matrix-vector
+        product rounds equal rows differently depending on their position,
+        which would break ties). Rows are in ascending doc_id order and
+        `_top_k` ranks like a stable sort, so ties break on doc_id."""
         qv = np.asarray(q.text_vector, dtype=np.float64).reshape(-1)
         if qv.shape != (self.config.d_text,):
             raise InvalidVectorDim(f"query length {qv.shape[0]} != d_text {self.config.d_text}")
@@ -225,19 +247,18 @@ class HybridIndex:
             if q.radius_filter is not None:
                 eligible &= cols.has_point & (d <= q.radius_filter)
         rows = np.flatnonzero(eligible)
-        if rows.size <= _GATHER_SHARE * len(cols.ids):
-            text = np.vecdot(cols.matrix[rows], qv)
-        else:
-            text = np.vecdot(cols.matrix, qv)[rows]
-        # A query without a point or a time gives every row 1.0 in that term.
-        spatial = temporal = 1.0
+        # A query without a point or a time gives every row 1.0 in that term
+        # (a view: no array is allocated for it).
+        spatial = temporal = np.broadcast_to(1.0, rows.shape)
         if q.point is not None:
             spatial = np.where(cols.has_point[rows], np.exp(-d[rows] / self.config.lambda_m), 0.0)
         if q.time is not None:
             temporal = ((cols.start[rows] <= q.time) & (q.time <= cols.end[rows])).astype(np.float64)
         w_t, w_s, w_d = q.weights
+        keep = _may_rank(cols, rows, qv, q.weights, spatial, temporal, q.k)
+        rows, spatial, temporal = rows[keep], spatial[keep], temporal[keep]
+        text = _exact_dots(cols.matrix, rows, qv)
         combined = w_t * text + w_s * spatial + w_d * temporal
-        spatial, temporal = np.broadcast_to(spatial, text.shape), np.broadcast_to(temporal, text.shape)
         return [
             ScoredHit(cols.ids[rows[i]], float(combined[i]), float(text[i]), float(spatial[i]), float(temporal[i]))
             for i in _top_k(combined, q.k)
@@ -358,6 +379,59 @@ class HybridIndex:
         if reader.pos != len(data):
             raise CorruptFile("trailing bytes after last record", offset=reader.pos)
         return store
+
+
+# Why `_may_rank` drops no row that ranks or ties. Let u = 2^-24 (float32
+# unit roundoff), R = `_Columns.norm_max` and Q = ||q||. A row r's
+# approximate text score a = fl32(r . fl32(q)) sums d float32 products in
+# whatever order BLAS picks (blocked, FMA, threaded); the gamma_n bound
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., section
+# 3.1) holds for every order, so with the rounding of q to float32
+#     |a - r.q| <= (u + gamma_d (1 + u)) sum |r_i q_i| <= (d + 2) u R Q = B,
+# the last step by Cauchy-Schwarz and d (d + 2) u <= 1, that is d <= 4094.
+# R comes from the snapshot's own rows: a v1 file may hold non-unit vectors.
+# The rest is float64 (unit roundoff 2^-53). The exact score t of a row is
+# within gamma_d R Q of r.q, a combined score w_t x + w_s s + w_d p carries
+# at most gamma_3 (w_t |x| + w_s + w_d) of rounding, and a row's exact and
+# approximate combined scores C and A share s and p. With W = max(1, RQ + B),
+#     |C - A| <= w_t B + e,   e = (d + 14) 2^-53 W.
+# Let c_k be the k-th best A. The k rows with A >= c_k have C >= c_k - w_t B
+# - e. A dropped row has A < c_k - 2 w_t B - slack, so C < c_k - w_t B - e
+# whenever slack >= 2e plus the rounding of R, Q, B and the cut, and plus
+# float32 underflow (6d 2^-126 W even with flush-to-zero). slack =
+# (d + 16) 2^-50 W is (8d + 128) 2^-53 W, several times that. A dropped row
+# is thus strictly below k kept rows: it can neither rank nor tie. Rows
+# with R Q >= 2^100 could overflow float32, so the filter then keeps every
+# row, as it does for d > 4094 and when no more than k rows are eligible.
+def _may_rank(cols: _Columns, rows, qv, weights, spatial, temporal, k: int) -> np.ndarray:
+    """Positions in `rows` of the rows that can rank in or tie the top k,
+    found from float32 text scores: `cols.matrix @ fl32(q)` over the whole
+    store, or over a copy of the eligible rows when they are at most
+    `_GATHER_SHARE` of it."""
+    dim, q_norm = qv.size, float(np.linalg.norm(qv))
+    if rows.size <= k or dim > 4094 or not cols.norm_max * q_norm < 2.0**100:
+        return np.arange(rows.size)
+    q32 = qv.astype(np.float32)
+    if rows.size <= _GATHER_SHARE * len(cols.ids):
+        text = cols.matrix[rows] @ q32
+    else:
+        text = (cols.matrix @ q32)[rows]
+    w_t, w_s, w_d = weights
+    approx = w_t * text.astype(np.float64) + w_s * spatial + w_d * temporal
+    c_k = np.partition(approx, rows.size - k)[rows.size - k]
+    B = (dim + 2) * 2.0**-24 * cols.norm_max * q_norm
+    slack = (dim + 16) * 2.0**-50 * max(1.0, cols.norm_max * q_norm + B)
+    return np.flatnonzero(approx >= c_k - 2.0 * w_t * B - slack)
+
+
+def _exact_dots(matrix: np.ndarray, rows: np.ndarray, qv: np.ndarray) -> np.ndarray:
+    """`np.vecdot(matrix[rows].astype(np.float64), qv)`, widened
+    `_WIDEN_ROWS` rows at a time."""
+    out = np.empty(rows.size)
+    for at in range(0, rows.size, _WIDEN_ROWS):
+        block = rows[at : at + _WIDEN_ROWS]
+        out[at : at + _WIDEN_ROWS] = np.vecdot(matrix[block].astype(np.float64), qv)
+    return out
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:

@@ -132,6 +132,15 @@ class TestQueryCommand:
         assert any(c["doc_id"] == "mbs" for c in payload["citations"])
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_time_exits_2(self, workspace, capsys, bad):
+        code = main(
+            ["query", "--store", str(workspace["store"]), "--prompt", "Amber Basalt",
+             "--gazetteer", str(workspace["gazetteer"]), f"--time={bad}", "--json"]
+        )
+        assert code == 2
+        assert "time" in capsys.readouterr().err
+
     def test_corrupt_store_is_data_error(self, workspace, tmp_path, capsys):
         data = bytearray(workspace["store"].read_bytes())
         data[22] = 0xFF  # first byte of the first doc id: not UTF-8

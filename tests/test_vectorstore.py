@@ -1,6 +1,8 @@
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -347,6 +349,22 @@ class TestHybridSearch:
         with pytest.raises(InvalidArgument):
             QuerySpec(text_vector=np.ones(D), point=GeoPoint(0, 0), radius_filter=radius)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("time", math.nan), ("time", math.inf), ("time", -math.inf), ("min_credibility", math.nan),
+         ("min_credibility", math.inf)],
+    )
+    def test_non_finite_time_or_credibility_rejected(self, field, value):
+        # A NaN time matched no window and a NaN credibility floor no row, so
+        # both returned silently wrong hits; -inf stays a legal floor.
+        with pytest.raises(InvalidArgument):
+            QuerySpec(text_vector=np.ones(D), **{field: value})
+
+    def test_minus_infinity_credibility_floor_keeps_every_row(self):
+        store, _, rng = build_random_store(12, seed=13)
+        hits = store.hybrid_search(QuerySpec(text_vector=unit(rng), k=20, min_credibility=-math.inf))
+        assert len(hits) == 12
+
     def test_non_finite_query_vector_rejected(self):
         store, _, _ = build_random_store(5, seed=13)
         for bad in (math.nan, math.inf):
@@ -424,11 +442,12 @@ class TestTopK:
 
 
 class TestRadiusPruning:
-    """A radius query gathers and scores only its eligible rows when they
-    are at most `_GATHER_SHARE` of the store, and scans every row above it;
-    both give the same hits, field for field, as the full scan."""
+    """A radius query takes the float32 scores of a copy of its eligible
+    rows when they are at most `_GATHER_SHARE` of the store, and of the
+    whole matrix above it; both give the same hits, field for field, as the
+    full scan."""
 
-    @pytest.mark.parametrize("share", [0.01, 0.05, 0.12, 0.14, 0.3, 0.6])
+    @pytest.mark.parametrize("share", [0.01, 0.05, 0.12, 0.14, 0.16, 0.18, 0.3, 0.6])
     @pytest.mark.parametrize("variant", ["plain", "timed", "credible"])
     def test_pruned_equals_full_scan(self, monkeypatch, share, variant):
         store, meta, rng = build_random_store(400, seed=26)
@@ -443,21 +462,25 @@ class TestRadiusPruning:
         radius = float(d[int(share * len(ids))])
         eligible = int(np.count_nonzero(d <= radius))
         assert (eligible <= vectorstore._GATHER_SHARE * len(ids)) == (share < vectorstore._GATHER_SHARE)
-        spec = QuerySpec(
-            text_vector=unit(rng), point=centre, k=len(ids), radius_filter=radius,
-            time=5e8 if variant == "timed" else None,
-            min_credibility=0.5 if variant == "credible" else 0.0,
-        )
-        default = store.hybrid_search(spec)
-        assert [h.doc_id for h in default] == oracle_hybrid(meta, spec, CFG)
-        monkeypatch.setattr(vectorstore, "_GATHER_SHARE", 0.0)  # always the full scan
-        full = store.hybrid_search(spec)
-        monkeypatch.setattr(vectorstore, "_GATHER_SHARE", 1.0)  # always gather
-        gathered = store.hybrid_search(spec)
-        assert len(default) > 0
-        for a, b, c in zip(default, full, gathered, strict=True):
-            for field in ("doc_id", "combined", "text_sim", "spatial_prox", "temporal_rel"):
-                assert getattr(a, field) == getattr(b, field) == getattr(c, field), field
+        qv = unit(rng)
+        # k = 10 filters on float32 scores; k = len(ids) scores every row.
+        for k in (10, len(ids)):
+            spec = QuerySpec(
+                text_vector=qv, point=centre, k=k, radius_filter=radius,
+                time=5e8 if variant == "timed" else None,
+                min_credibility=0.5 if variant == "credible" else 0.0,
+            )
+            monkeypatch.undo()
+            default = store.hybrid_search(spec)
+            assert [h.doc_id for h in default] == oracle_hybrid(meta, spec, CFG)
+            monkeypatch.setattr(vectorstore, "_GATHER_SHARE", 0.0)  # always the whole matrix
+            full = store.hybrid_search(spec)
+            monkeypatch.setattr(vectorstore, "_GATHER_SHARE", 1.0)  # always gather
+            gathered = store.hybrid_search(spec)
+            assert len(default) > 0
+            for a, b, c in zip(default, full, gathered, strict=True):
+                for field in ("doc_id", "combined", "text_sim", "spatial_prox", "temporal_rel"):
+                    assert getattr(a, field) == getattr(b, field) == getattr(c, field), field
 
 
 class TestCombinedMonotonicity:
@@ -697,3 +720,151 @@ class TestPersistence:
         store.save(p1)
         store.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def near_copy(rng, base, eps):
+    """`base` moved by about `eps` per component. For eps <= 1e-7 its scores
+    differ from the base's by far less than the float32 error bound `B` of
+    `_may_rank`, so float32 scores cannot order such rows."""
+    return base + eps * rng.standard_normal(base.shape)
+
+
+def meta_of(store):
+    """The oracles' view of every stored record."""
+    records = [store.get(doc_id) for doc_id in store.doc_ids()]
+    return {
+        rec.doc_id: {
+            "vec64": rec.vector.astype(np.float64),
+            "point": rec.point,
+            "window": rec.window,
+            "credibility": rec.credibility,
+        }
+        for rec in records
+    }
+
+
+class TestFloat32Filter:
+    """`_scan` rescores exactly only the rows whose float32 score is within
+    the error bound of the k-th best. The hits must equal, field for field,
+    the exact scan of every eligible row (`full_sort`: k at least the store
+    size, so nothing is filtered) and rank like the oracles, on stores whose
+    float32 scores cannot order the rows."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_property_refined_equals_exact_scan_and_oracle(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(1, 60))
+        bases = [unit(rng) for _ in range(data.draw(st.integers(1, 3)))]
+        points = [None, HERE, GeoPoint(1.31, 103.8), GeoPoint(1.5, 104.0)]
+        windows = [None, TimeWindow(0.0, 10.0)]
+        store = HybridIndex(CFG)
+        for i in range(n):
+            eps = float(rng.choice([0.0, 1e-9, 1e-8, 1e-7]))  # 0: an exact duplicate
+            store.upsert(record(
+                f"doc{i:02d}",
+                near_copy(rng, bases[int(rng.integers(len(bases)))], eps),
+                point=points[int(rng.integers(len(points)))],
+                window=windows[int(rng.integers(len(windows)))],
+                credibility=float(rng.choice([0.2, 0.6, 1.0])),
+            ))
+        meta = meta_of(store)
+        qv = data.draw(st.sampled_from(["base", "near", "random"]))
+        qv = {"base": bases[0], "near": near_copy(rng, bases[0], 1e-8), "random": unit(rng)}[qv]
+        k = data.draw(st.integers(1, n + 3))
+        spec = QuerySpec(
+            text_vector=qv,
+            point=data.draw(st.sampled_from([None, HERE, GeoPoint(1.4, 103.9)])),
+            time=data.draw(st.sampled_from([None, 5.0, 50.0])),
+            k=k,
+            weights=data.draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), CFG.weights])),
+            min_credibility=data.draw(st.sampled_from([0.0, 0.5, 0.8])),
+        )
+        if spec.point is not None and data.draw(st.booleans()):
+            spec = replace(spec, radius_filter=data.draw(st.sampled_from([0.0, 1500.0, 30_000.0])))
+        # 0: float32 scores of the whole matrix; 1: of the gathered rows.
+        with patch.object(vectorstore, "_GATHER_SHARE", data.draw(st.sampled_from([0.0, 1.0]))):
+            hits = store.hybrid_search(spec)
+            knn = store.knn(qv, k)
+        assert hits == full_sort(store, spec)
+        assert [h.doc_id for h in hits] == oracle_hybrid(meta, spec, CFG)
+        knn_spec = QuerySpec(text_vector=qv, k=k, weights=(1.0, 0.0, 0.0), min_credibility=-math.inf)
+        assert knn == [replace(h, spatial_prox=0.0, temporal_rel=0.0) for h in full_sort(store, knn_spec)]
+        assert [h.doc_id for h in knn] == oracle_knn(meta, qv, k)
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 50])
+    def test_near_duplicates_of_the_query_rank_exactly(self, k):
+        # 300 rows within a few float32 ulps of the query, among 300 others:
+        # the float32 scores of the near rows disagree with their exact order.
+        rng = np.random.default_rng(31)
+        q = unit(rng)
+        store = HybridIndex(CFG)
+        for i in range(600):
+            vec = near_copy(rng, q, float(rng.choice([0.0, 1e-8, 1e-7]))) if i % 2 else unit(rng)
+            store.upsert(record(f"doc{i:03d}", vec, point=HERE if i % 3 else None))
+        meta = meta_of(store)
+        spec = QuerySpec(text_vector=q, point=HERE, k=k)
+        for share in (0.0, 1.0):
+            with patch.object(vectorstore, "_GATHER_SHARE", share):
+                assert store.hybrid_search(spec) == full_sort(store, spec)
+                assert [h.doc_id for h in store.knn(q, k)] == oracle_knn(meta, q, k)
+        assert [h.doc_id for h in store.hybrid_search(spec)] == oracle_hybrid(meta, spec, CFG)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_v1_store_with_non_unit_vectors(self, tmp_path, k):
+        # `save` writes unit vectors, but a v1 file may hold any finite
+        # vector; a norm-3 row scales its float32 error by 3, which the
+        # bound must take from the snapshot rather than assume away.
+        rng = np.random.default_rng(32)
+        q = unit(rng).astype(np.float32)
+        rows = [(b"big", 3.0 * q, 1.0, b"src", b"text", (1.3, 103.8))]
+        rows += [(f"x{i:02d}".encode(), 3.0 * near_copy(rng, q, 1e-7), 1.0, b"src", b"text") for i in range(20)]
+        rows += [(f"y{i:02d}".encode(), unit(rng), 1.0, b"src", b"text") for i in range(20)]
+        path = tmp_path / "v1.gcev"
+        write_v1(path, rows)
+        store = HybridIndex.load(path, CFG)
+        assert np.linalg.norm(store.get("big").vector) == pytest.approx(3.0)
+        meta = meta_of(store)
+        spec = QuerySpec(text_vector=q, point=HERE, k=k)
+        assert store.hybrid_search(spec) == full_sort(store, spec)
+        assert [h.doc_id for h in store.hybrid_search(spec)] == oracle_hybrid(meta, spec, CFG)
+        assert [h.doc_id for h in store.knn(q, k)] == oracle_knn(meta, q, k)
+
+    def test_refine_scores_few_rows(self, monkeypatch):
+        # The point of the filter: on a store without near ties, a k=10
+        # query rescores a few more rows than k, not the store.
+        store, _, rng = build_random_store(2000, seed=33)
+        scored = []
+        exact = vectorstore._exact_dots
+        monkeypatch.setattr(vectorstore, "_exact_dots", lambda m, rows, q: scored.append(rows.size) or exact(m, rows, q))
+        store.knn(unit(rng), 10)
+        store.hybrid_search(QuerySpec(text_vector=unit(rng), point=GeoPoint(10.0, 20.0), time=5e8, k=10))
+        assert all(10 <= size < 100 for size in scored), scored
+
+    def test_no_float64_copy_of_the_matrix(self):
+        # The snapshot keeps the float32 vectors, and exact scores widen them
+        # a block at a time: neither building the snapshot nor rescoring
+        # every row (they all tie, so the filter keeps them all) allocates
+        # an N x d float64 matrix.
+        n = 6000
+        rng = np.random.default_rng(34)
+        v = unit(rng)
+        store = HybridIndex(CFG)
+        for i in range(n):
+            store.upsert(record(f"doc{i:04d}", v, point=HERE, window=TimeWindow(0.0, 10.0)))
+        tracemalloc.start()
+        try:
+            cols = store._columns = vectorstore._Columns.build(store._records, CFG.d_text)
+            held, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            knn = store.knn(v, 1)
+            hybrid = store.hybrid_search(QuerySpec(text_vector=v, point=HERE, time=5.0, k=1))
+            scan_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert [h.doc_id for h in knn + hybrid] == ["doc0000", "doc0000"]
+        float64_matrix = n * D * 8
+        assert cols.matrix.dtype == np.float32
+        assert build_peak < 0.75 * float64_matrix, build_peak
+        assert scan_peak < 0.25 * float64_matrix, scan_peak
