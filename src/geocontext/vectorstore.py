@@ -2,6 +2,11 @@
 windows, searched by a weighted combination of text similarity, spatial
 proximity decay, and temporal window overlap.
 
+The store is a set of columns in ascending doc_id order (ids, a float32
+vector matrix, points, windows, credibility, source and text), replaced as a
+whole. `upsert` buffers a row; the next read folds every buffered row into
+new columns at once, so a run of writes costs one merge, not one per write.
+
 Search is exact: every query masks the store by credibility and radius
 first, then filters and refines. One float32 matrix-vector product gives
 approximate text scores for the eligible rows, and only the rows whose
@@ -15,14 +20,37 @@ every hit list is reproducible.
 Persistence is a little-endian binary format (magic "GCEV") designed for
 bit-exact round-trips: vectors are stored and kept in float32. Every score a
 query returns is float64 math on those exact values; float32 arithmetic only
-decides which rows are worth scoring.
+decides which rows are worth scoring. `save` writes format version 2, a
+column layout in the manner of Apache Arrow
+(https://arrow.apache.org/docs/format/Columnar.html), that `load` maps with
+`np.frombuffer` and checks a whole column at a time:
+
+- a 64-byte header: "GCEV", u16 version 2, u32 dimension d, u64 record
+  count n, then the u64 byte lengths of the doc id, source and text blobs,
+  zero-padded;
+- n x d little-endian f32 vectors, each of norm 0 or 1 (within rounding);
+- n u8 flags: bit 0 the record has a point, bit 1 a time window;
+- f64 columns of n values each: latitude, longitude, window start, window
+  end, credibility (point and window values of rows without one are
+  ignored);
+- for doc ids (strictly ascending), sources and texts, in turn: n + 1 u64
+  offsets (0 first, the blob length last, never decreasing) into a UTF-8
+  blob that holds the strings back to back;
+- the `zlib.crc32` of everything before it, as a u32.
+
+Each column starts at a multiple of 64 bytes, after zero padding, so the
+mapped vector matrix is aligned for SIMD loads. Version-1 files, one record
+after another with u32-length-prefixed strings, are still read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import threading
+import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,7 +62,7 @@ from .geomodel import GeoPoint, TimeWindow
 from .georelate import check_radius, haversine_array
 
 MAGIC = b"GCEV"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # `_may_rank` copies out the eligible rows for its float32 scores when they
 # are at most this share of the store; above it, one float32 product over
@@ -44,9 +72,13 @@ FORMAT_VERSION = 1
 # 7.5; 15%, 6.9 against 7.3; 20%, 8.2 against 7.3; 25%, 9.2 against 7.1.
 _GATHER_SHARE = 1 / 6
 
-# Exact text scores widen this many float32 rows to float64 at a time: the
-# 512 KB block stays in cache, and no N x d float64 copy is ever made.
+# Exact text scores widen, and a fold copies, this many rows at a time: the
+# 512 KB float64 block stays in cache, and no N x d temporary is ever made.
 _WIDEN_ROWS = 256
+
+# Every part of a version-2 file, the header first, fills a whole number of
+# these many bytes, so every column starts aligned.
+_ALIGN = 64
 
 GEOHASH_BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
 
@@ -139,63 +171,75 @@ class ScoredHit:
 
 @dataclass(frozen=True, eq=False)
 class _Columns:
-    """Column copy of the records, one row per record in ascending doc_id
-    order, that `HybridIndex` scores queries against."""
+    """The records, one row each in ascending doc_id order: the whole state
+    of a `HybridIndex`, never changed once built (a fold builds new ones)."""
 
     ids: list[str]
-    matrix: np.ndarray  # N x d float32, the stored vectors themselves
-    norm_max: float  # the largest row norm of `matrix`, for the float32 error bound
-    lat: np.ndarray
+    matrix: np.ndarray  # N x d float32, C-contiguous, aligned, read-only
+    norm_max: float  # an upper bound on the row norms of `matrix`, for the float32 error bound
+    lat: np.ndarray  # 0.0 without a point
     lon: np.ndarray
     has_point: np.ndarray
     start: np.ndarray  # +inf without a window, so no time falls inside
     end: np.ndarray  # -inf without a window
     credibility: np.ndarray
+    source: list[str]
+    text: list[str]
 
     @classmethod
-    def build(cls, records: dict[str, VectorRecord], dim: int) -> "_Columns":
-        ids = sorted(records)
-        rows = [records[doc_id] for doc_id in ids]
-        matrix = np.array([r.vector for r in rows], dtype=np.float32).reshape(len(rows), dim)
-        # einsum casts through small buffers, so no float64 copy of `matrix`.
-        squares = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
-        return cls(
-            ids=ids,
-            matrix=matrix,
-            norm_max=math.sqrt(squares.max()) if len(rows) else 0.0,
-            lat=np.array([r.point.lat if r.point is not None else 0.0 for r in rows], dtype=np.float64),
-            lon=np.array([r.point.lon if r.point is not None else 0.0 for r in rows], dtype=np.float64),
-            has_point=np.array([r.point is not None for r in rows], dtype=bool),
-            start=np.array([r.window.start if r.window is not None else np.inf for r in rows], dtype=np.float64),
-            end=np.array([r.window.end if r.window is not None else -np.inf for r in rows], dtype=np.float64),
-            credibility=np.array([r.credibility for r in rows], dtype=np.float64),
+    def empty(cls, dim: int) -> "_Columns":
+        none = np.empty(0)
+        matrix = np.empty((0, dim), dtype=np.float32)
+        matrix.setflags(write=False)
+        return cls([], matrix, 0.0, none, none, np.empty(0, dtype=bool), none, none, none, [], [])
+
+    def find(self, doc_id: str) -> int:
+        """The row of doc_id, or -1."""
+        i = bisect_left(self.ids, doc_id)
+        return i if i < len(self.ids) and self.ids[i] == doc_id else -1
+
+    def record(self, i: int) -> VectorRecord:
+        return VectorRecord(
+            doc_id=self.ids[i],
+            vector=self.matrix[i],
+            point=GeoPoint(float(self.lat[i]), float(self.lon[i])) if self.has_point[i] else None,
+            window=TimeWindow(float(self.start[i]), float(self.end[i])) if self.start[i] <= self.end[i] else None,
+            credibility=float(self.credibility[i]),
+            source=self.source[i],
+            text=self.text[i],
         )
 
 
 class HybridIndex:
     """Exact hybrid search over vector records by one vectorised scan.
 
-    Thread contract: a single lock serializes writes with snapshot builds,
-    so every query scores a complete pre- or post-upsert state.
+    Thread contract: a single lock serializes writes with folds, and every
+    read takes the current `_Columns`, which nothing changes afterwards, so
+    every query scores a complete pre- or post-upsert state.
     """
 
     def __init__(self, config: EngineConfig = DEFAULT_CONFIG):
         self.config = config
-        self._records: dict[str, VectorRecord] = {}
-        self._columns: _Columns | None = None  # built on the first read after a write
+        self._columns = _Columns.empty(config.d_text)
+        # Writes not yet folded into `_columns`: the vector of buffered row m
+        # is `_block[m]` (its capacity doubles when full), its other column
+        # values are `_pending[m]`, and `_pending_at` maps each buffered id
+        # to its last row.
+        self._block = np.empty((0, config.d_text), dtype=np.float32)
+        self._pending: list[tuple] = []
+        self._pending_at: dict[str, int] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._snapshot().ids)
 
     def doc_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._records)
+        return list(self._snapshot().ids)
 
     def get(self, doc_id: str) -> VectorRecord | None:
-        with self._lock:
-            return self._records.get(doc_id)
+        cols = self._snapshot()
+        i = cols.find(doc_id)
+        return cols.record(i) if i >= 0 else None
 
     def upsert(self, record: VectorRecord) -> bool:
         """Store (replacing any prior record under the same id) and return
@@ -207,17 +251,97 @@ class HybridIndex:
         if not np.all(np.isfinite(vec)):
             raise InvalidVectorDim("vector has non-finite components")
         norm = float(np.linalg.norm(vec))
+        if not 2.0**-500 < norm < 2.0**500 and np.any(vec):
+            # The sum of squares underflowed or overflowed, so `norm` is off
+            # or 0 or inf: scale by a power of two (exact) to a largest
+            # component in [0.5, 1) first.
+            vec = np.ldexp(vec, -math.frexp(float(np.max(np.abs(vec))))[1])
+            norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec = vec / norm
-        vec32 = vec.astype(np.float32)
-        vec32.setflags(write=False)
+        return self._append(record.doc_id, vec, record.point, record.window, record.credibility,
+                            record.source, record.text)
 
-        stored = replace(record, vector=vec32)
+    def _append(self, doc_id: str, vec: np.ndarray, point: GeoPoint | None, window: TimeWindow | None,
+                credibility: float, source: str, text: str) -> bool:
+        """Buffer one row, `vec` rounded to float32 into `_block`, and
+        return whether doc_id was stored already. Copies no column."""
+        values = (
+            point is not None,
+            point.lat if point is not None else 0.0,
+            point.lon if point is not None else 0.0,
+            window.start if window is not None else math.inf,
+            window.end if window is not None else -math.inf,
+            credibility,
+            source,
+            text,
+        )
         with self._lock:
-            existed = record.doc_id in self._records
-            self._records[record.doc_id] = stored
-            self._columns = None
+            existed = doc_id in self._pending_at or self._columns.find(doc_id) >= 0
+            m = len(self._pending)
+            if m == len(self._block):
+                grown = np.empty((max(2 * m, 64), self.config.d_text), dtype=np.float32)
+                grown[:m] = self._block
+                self._block = grown
+            self._block[m] = vec
+            self._pending.append(values)
+            self._pending_at[doc_id] = m
             return existed
+
+    def _snapshot(self) -> _Columns:
+        """The current columns, after folding in any buffered writes."""
+        with self._lock:
+            if self._pending:
+                self._columns = self._fold()
+                self._block = np.empty((0, self.config.d_text), dtype=np.float32)
+                self._pending, self._pending_at = [], {}
+            return self._columns
+
+    def _fold(self) -> _Columns:
+        """New columns: the current rows whose ids were not written again,
+        and the last buffered row of each buffered id, in doc_id order."""
+        old, dim = self._columns, self.config.d_text
+        new_ids = list(self._pending_at)
+        rows = np.fromiter(self._pending_at.values(), dtype=np.intp, count=len(new_ids))
+        values = zip(*map(self._pending.__getitem__, rows.tolist()))
+        has_point, lat, lon, start, end, credibility, source, text = values
+        replaced = [i for i in map(old.find, new_ids) if i >= 0] if old.ids else []
+        kept = np.delete(np.arange(len(old.ids)), replaced)
+        ids = [old.ids[i] for i in kept.tolist()] + new_ids
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        order_at = np.array(order, dtype=np.intp)
+
+        def merge(old_col, new_col):
+            return np.concatenate((old_col[kept], np.asarray(new_col, dtype=old_col.dtype)))[order_at]
+
+        def merge_strings(old_col, new_col):
+            both = [old_col[i] for i in kept.tolist()] + list(new_col)
+            return [both[i] for i in order]
+
+        # Row j of `ids` goes to row dest[j]; the vectors are copied straight
+        # into place, `_WIDEN_ROWS` at a time.
+        dest = np.empty(len(ids), dtype=np.intp)
+        dest[order_at] = np.arange(len(ids))
+        matrix = np.empty((len(ids), dim), dtype=np.float32)
+        for to, vectors, picked in ((dest[: kept.size], old.matrix, kept), (dest[kept.size :], self._block, rows)):
+            for at in range(0, picked.size, _WIDEN_ROWS):
+                matrix[to[at : at + _WIDEN_ROWS]] = vectors[picked[at : at + _WIDEN_ROWS]]
+        matrix.setflags(write=False)
+        written = self._block[: len(self._pending)]
+        squares = np.einsum("ij,ij->i", written, written, dtype=np.float64)
+        return _Columns(
+            ids=[ids[i] for i in order],
+            matrix=matrix,
+            norm_max=max(old.norm_max, math.sqrt(squares.max())),
+            lat=merge(old.lat, lat),
+            lon=merge(old.lon, lon),
+            has_point=merge(old.has_point, has_point),
+            start=merge(old.start, start),
+            end=merge(old.end, end),
+            credibility=merge(old.credibility, credibility),
+            source=merge_strings(old.source, source),
+            text=merge_strings(old.text, text),
+        )
 
     def _scan(self, q: QuerySpec) -> list[ScoredHit]:
         """The q.k best eligible records. The credibility and radius masks
@@ -237,10 +361,7 @@ class HybridIndex:
         norm = float(np.linalg.norm(qv))
         if norm > 0.0:
             qv = qv / norm
-        with self._lock:
-            if self._columns is None:
-                self._columns = _Columns.build(self._records, self.config.d_text)
-            cols = self._columns
+        cols = self._snapshot()
         eligible = cols.credibility >= q.min_credibility
         if q.point is not None:
             d = haversine_array(q.point, cols.lat, cols.lon, self.config.earth_radius_m)
@@ -293,92 +414,231 @@ class HybridIndex:
         threshold."""
         if not 0.0 < dedup_cosine <= 1.0:
             raise ValueError(f"dedup_cosine {dedup_cosine} outside (0, 1]")
+        cols = self._snapshot()
         kept: list[ScoredHit] = []
         kept_vecs: list[np.ndarray] = []
-        with self._lock:
-            for hit in hits:
-                rec = self._records.get(hit.doc_id)
-                if rec is None or rec.credibility < min_credibility:
-                    continue
-                vec = rec.vector.astype(np.float64)
-                if any(float(np.dot(vec, kv)) >= dedup_cosine for kv in kept_vecs):
-                    continue
-                kept.append(hit)
-                kept_vecs.append(vec)
+        for hit in hits:
+            i = cols.find(hit.doc_id)
+            if i < 0 or cols.credibility[i] < min_credibility:
+                continue
+            vec = cols.matrix[i].astype(np.float64)
+            if any(float(np.dot(vec, kv)) >= dedup_cosine for kv in kept_vecs):
+                continue
+            kept.append(hit)
+            kept_vecs.append(vec)
         return kept
+
 
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the store in the bit-exact binary format."""
-        with self._lock:
-            records = [self._records[doc_id] for doc_id in sorted(self._records)]
-        out = bytearray(MAGIC)
-        out += struct.pack("<HIQ", FORMAT_VERSION, self.config.d_text, len(records))
-        for rec in records:
-            flags = (1 if rec.point is not None else 0) | (2 if rec.window is not None else 0)
-            out += _prefixed(rec.doc_id)
-            out += rec.vector.astype("<f4").tobytes()
-            out += struct.pack("<B", flags)
-            if rec.point is not None:
-                out += struct.pack("<dd", rec.point.lat, rec.point.lon)
-            if rec.window is not None:
-                out += struct.pack("<dd", rec.window.start, rec.window.end)
-            out += struct.pack("<d", rec.credibility)
-            out += _prefixed(rec.source)
-            out += _prefixed(rec.text)
-        Path(path).write_bytes(out)
+        """Write the store in the bit-exact binary format, version 2."""
+        _write_v2(path, self._snapshot(), self.config.d_text)
 
     @classmethod
     def load(cls, path: str | Path, config: EngineConfig = DEFAULT_CONFIG) -> "HybridIndex":
-        """Read a store file; answers every query identically to the saved
-        store. Raises CorruptFile (with byte offset) for truncation, trailing
-        bytes, text that is not UTF-8, a non-finite vector component or
-        credibility, an invalid point or window, or a duplicate doc id;
-        VersionMismatch for an unknown format version."""
+        """Read a store file of version 1 or 2; answers every query
+        identically to the saved store. Raises CorruptFile (with byte offset)
+        for truncation, trailing bytes, a checksum mismatch, text that is
+        not UTF-8, a vector that is non-finite or neither zero nor unit, a
+        non-finite credibility, an invalid point or window, or a duplicate
+        or (version 2) out-of-order doc id; VersionMismatch for an unknown
+        format version; InvalidVectorDim for a dimension other than
+        config.d_text."""
         data = Path(path).read_bytes()
         reader = _Reader(data)
         magic = reader.take(4, "magic")
         if magic != MAGIC:
             raise CorruptFile(f"bad magic {magic!r}", offset=0)
         version, dim, count = reader.unpack("<HIQ", "header")
-        if version != FORMAT_VERSION:
+        if version not in (1, 2):
             raise VersionMismatch(f"unknown store format version {version}")
         if dim != config.d_text:
             raise InvalidVectorDim(f"store dimension {dim} != configured d_text {config.d_text}")
         store = cls(config)
-        for _ in range(count):
-            record_at = reader.pos
-            doc_id = reader.string("doc id")
-            if doc_id in store._records:
-                raise CorruptFile(f"duplicate doc id {doc_id!r}", offset=record_at)
-            vector_at = reader.pos
-            vec = np.frombuffer(reader.take(4 * dim, "vector"), dtype="<f4").astype(np.float32)
-            if not np.all(np.isfinite(vec)):
-                raise CorruptFile("non-finite vector component", offset=vector_at)
-            vec.setflags(write=False)
-            (flags,) = reader.unpack("<B", "flags")
-            point = window = None
-            if flags & 1:
-                point = reader.value(GeoPoint, "<dd", "point")
-            if flags & 2:
-                window = reader.value(TimeWindow, "<dd", "window")
-            credibility_at = reader.pos
-            (credibility,) = reader.unpack("<d", "credibility")
-            if not math.isfinite(credibility):
-                raise CorruptFile(f"non-finite credibility {credibility}", offset=credibility_at)
-            store._records[doc_id] = VectorRecord(
-                doc_id=doc_id,
-                vector=vec,
-                point=point,
-                window=window,
-                credibility=credibility,
-                source=reader.string("source"),
-                text=reader.string("text"),
-            )
-        if reader.pos != len(data):
-            raise CorruptFile("trailing bytes after last record", offset=reader.pos)
+        if version == 2:
+            store._columns = _read_v2(data, dim, count)
+        else:
+            _read_v1(reader, store, dim, count)
+            store._snapshot()
         return store
+
+
+def _unit_tol(dim: int) -> float:
+    """How far the float64 squared norm s of a stored nonzero vector may be
+    from 1.
+
+    `upsert` stores r = fl32(fl64(x / N)), N the float64 norm of x (after
+    power-of-two scaling, its sum of squares is a normal float64). With
+    u = 2^-53: N has relative error at most (d + 2) u, the division adds u
+    to each component, so the float64 vector has norm 1 +- (d + 4) u;
+    rounding to float32 moves each component by at most 2^-24 of itself
+    (or 2^-150 below the float32 normal range), so |r|^2 = 1 +- (2^-23 +
+    (2d + 9) u) to first order. Squares of float32 numbers are exact in
+    float64, and their sum is within (d + 1) u |r|^2 of |r|^2, so
+    |s - 1| <= 2^-23 + (3d + 10) u plus second-order terms below 2^-47.
+    2^-22 + (3d + 16) u covers it with 2^-23 to spare. A vector that is
+    off by more was not written by `upsert`."""
+    return 2.0**-22 + (3 * dim + 16) * 2.0**-53
+
+
+def _check_vectors(matrix: np.ndarray, at: int) -> np.ndarray:
+    """The float64 squared norms of the rows of `matrix`, found in a file at
+    byte `at`; CorruptFile at the first row that is not finite (its square
+    is then not finite either) or neither zero nor unit."""
+    squares = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
+    _reject_first(
+        (squares != 0.0) & ~(np.abs(squares - 1.0) <= _unit_tol(matrix.shape[1])),
+        at, 4 * matrix.shape[1], "vector is non-finite or neither zero nor unit",
+    )
+    return squares
+
+
+def _reject_first(bad: np.ndarray, at: int, stride: int, what: str) -> None:
+    """CorruptFile at the first row of a column at byte `at` where `bad`
+    holds."""
+    if bad.any():
+        row = int(bad.argmax())
+        raise CorruptFile(what, offset=at + stride * row)
+
+
+def _read_v1(reader: "_Reader", store: HybridIndex, dim: int, count: int) -> None:
+    """Append the records of a version-1 file, one after another, to
+    `store` as `upsert` does, without renormalizing."""
+    for _ in range(count):
+        record_at = reader.pos
+        doc_id = reader.string("doc id")
+        if doc_id in store._pending_at:
+            raise CorruptFile(f"duplicate doc id {doc_id!r}", offset=record_at)
+        vector_at = reader.pos
+        vec = np.frombuffer(reader.take(4 * dim, "vector"), dtype="<f4")
+        _check_vectors(vec.reshape(1, dim), vector_at)
+        (flags,) = reader.unpack("<B", "flags")
+        point = window = None
+        if flags & 1:
+            point = reader.value(GeoPoint, "<dd", "point")
+        if flags & 2:
+            window = reader.value(TimeWindow, "<dd", "window")
+        credibility_at = reader.pos
+        (credibility,) = reader.unpack("<d", "credibility")
+        if not math.isfinite(credibility):
+            raise CorruptFile(f"non-finite credibility {credibility}", offset=credibility_at)
+        store._append(doc_id, vec, point, window, credibility, reader.string("source"), reader.string("text"))
+    if reader.pos != len(reader.data):
+        raise CorruptFile("trailing bytes after last record", offset=reader.pos)
+
+
+def _v2_layout(dim: int, count: int, string_bytes) -> tuple[list[int], int]:
+    """Where each version-2 column starts (vectors, flags, latitude,
+    longitude, window start, window end, credibility, then offsets and blob
+    for doc ids, sources and texts), and the file size."""
+    sizes = [4 * dim * count, count] + [8 * count] * 5
+    for nbytes in string_bytes:
+        sizes += [8 * (count + 1), nbytes]
+    starts, at = [], _ALIGN
+    for size in sizes:
+        starts.append(at)
+        at += size + -size % _ALIGN
+    return starts, at + 4
+
+
+def _write_v2(path: str | Path, cols: _Columns, dim: int) -> None:
+    n = len(cols.ids)
+    columns = [np.asarray(cols.matrix, dtype="<f4"),
+               cols.has_point.astype(np.uint8) | (cols.start <= cols.end).astype(np.uint8) << 1]
+    columns += [np.asarray(c, dtype="<f8") for c in (cols.lat, cols.lon, cols.start, cols.end, cols.credibility)]
+    blob_sizes = []
+    for strings in (cols.ids, cols.source, cols.text):
+        encoded = [s.encode("utf-8") for s in strings]
+        offsets = np.zeros(n + 1, dtype="<u8")
+        np.cumsum(np.fromiter(map(len, encoded), dtype=np.uint64, count=n), out=offsets[1:])
+        columns += [offsets, np.frombuffer(b"".join(encoded), dtype=np.uint8)]
+        blob_sizes.append(int(offsets[-1]))
+    header = struct.pack("<4sHIQQQQ", MAGIC, FORMAT_VERSION, dim, n, *blob_sizes)
+    crc = 0
+    with open(path, "wb") as fh:
+        for column in [np.frombuffer(header, dtype=np.uint8), *columns]:
+            raw = column.reshape(-1).view(np.uint8)
+            for part in (raw, bytes(-raw.size % _ALIGN)):
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
+
+
+def _read_v2(data: bytes, dim: int, count: int) -> _Columns:
+    """The columns of a version-2 file, checked a whole column at a time
+    after the size and the checksum."""
+    if len(data) < _ALIGN:
+        raise CorruptFile("truncated while reading header", offset=len(data))
+    string_bytes = struct.unpack_from("<QQQ", data, 18)
+    starts, size = _v2_layout(dim, count, string_bytes)
+    if len(data) != size:
+        if len(data) > size:
+            raise CorruptFile("trailing bytes after the checksum", offset=size)
+        raise CorruptFile(f"truncated: the header describes {size} bytes", offset=len(data))
+    (crc,) = struct.unpack_from("<I", data, size - 4)
+    if zlib.crc32(memoryview(data)[: size - 4]) != crc:
+        raise CorruptFile("checksum mismatch", offset=size - 4)
+    vec_at, flags_at, lat_at, lon_at, start_at, end_at, cred_at = starts[:7]
+    # frombuffer views: an aligned column needs no copy; require() copies
+    # only on a big-endian host or if the buffer were misaligned.
+    matrix = np.require(np.frombuffer(data, "<f4", dim * count, vec_at).reshape(count, dim), np.float32, ["C", "A"])
+    matrix.setflags(write=False)
+    squares = _check_vectors(matrix, vec_at)
+    flags = np.frombuffer(data, np.uint8, count, flags_at)
+    lat, lon, start, end, credibility = (np.frombuffer(data, "<f8", count, at) for at in starts[2:7])
+    has_point, has_window = (flags & 1).astype(bool), (flags & 2).astype(bool)
+    _reject_first(flags > 3, flags_at, 1, "unknown flag bits")
+    _reject_first(has_point & ~(np.abs(lat) <= 90.0), lat_at, 8, "latitude is not in [-90, 90]")
+    _reject_first(has_point & ~np.isfinite(lon), lon_at, 8, "longitude is not finite")
+    _reject_first(has_window & ~(np.isfinite(start) & (start <= end) & np.isfinite(end)), start_at, 8,
+                  "window is not finite and ordered")
+    _reject_first(~np.isfinite(credibility), cred_at, 8, "credibility is not finite")
+    ids, source, text = (
+        _read_strings(data, starts[k], starts[k + 1], count, nbytes, what)
+        for k, nbytes, what in zip((7, 9, 11), string_bytes, ("doc id", "source", "text"))
+    )
+    if not all(map(operator.lt, ids, ids[1:])):
+        row = next(i for i in range(1, count) if not ids[i - 1] < ids[i])
+        offsets = np.frombuffer(data, "<u8", count + 1, starts[7])
+        raise CorruptFile(f"doc id {ids[row]!r} does not follow {ids[row - 1]!r}",
+                          offset=starts[8] + int(offsets[row]))
+    return _Columns(
+        ids=ids,
+        matrix=matrix,
+        norm_max=math.sqrt(squares.max()) if count else 0.0,
+        lat=np.where(has_point, lat, 0.0),
+        lon=np.where(has_point, lon, 0.0),
+        has_point=has_point,
+        start=np.where(has_window, start, np.inf),
+        end=np.where(has_window, end, -np.inf),
+        credibility=credibility,
+        source=source,
+        text=text,
+    )
+
+
+def _read_strings(data: bytes, table_at: int, blob_at: int, count: int, nbytes: int, what: str) -> list[str]:
+    """The `count` strings of one version-2 string column."""
+    offsets = np.frombuffer(data, "<u8", count + 1, table_at)
+    bad = offsets > nbytes
+    bad[0] |= offsets[0] != 0
+    bad[-1] |= offsets[-1] != nbytes
+    bad[1:] |= offsets[1:] < offsets[:-1]
+    _reject_first(bad, table_at, 8, f"{what} offset out of order or out of range")
+    blob = data[blob_at : blob_at + nbytes]
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"{what} is not valid UTF-8", offset=blob_at + exc.start) from None
+    # The blob is UTF-8, so a string is too unless its start is a
+    # continuation byte (10xxxxxx) of a character that began before it.
+    inside = offsets < nbytes
+    bad[:] = False
+    bad[inside] = np.frombuffer(blob, np.uint8)[offsets[inside].astype(np.intp)] & 0xC0 == 0x80
+    _reject_first(bad, table_at, 8, f"{what} offset splits a UTF-8 sequence")
+    bounds = offsets.tolist()
+    return [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
 
 
 # Why `_may_rank` drops no row that ranks or ties. Let u = 2^-24 (float32
@@ -389,7 +649,8 @@ class HybridIndex:
 # 3.1) holds for every order, so with the rounding of q to float32
 #     |a - r.q| <= (u + gamma_d (1 + u)) sum |r_i q_i| <= (d + 2) u R Q = B,
 # the last step by Cauchy-Schwarz and d (d + 2) u <= 1, that is d <= 4094.
-# R comes from the snapshot's own rows: a v1 file may hold non-unit vectors.
+# R is measured on the rows rather than taken as 1: unit rows rounded to
+# float32 are a few ulps off 1, and any upper bound on the norms will do.
 # The rest is float64 (unit roundoff 2^-53). The exact score t of a row is
 # within gamma_d R Q of r.q, a combined score w_t x + w_s s + w_d p carries
 # at most gamma_3 (w_t |x| + w_s + w_d) of rounding, and a row's exact and
@@ -445,12 +706,6 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
         return np.argsort(neg, kind="stable")
     band = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
     return band[np.argsort(neg[band], kind="stable")[:k]]
-
-
-def _prefixed(text: str) -> bytes:
-    """A string as the store writes it: u32 byte length, then UTF-8."""
-    data = text.encode("utf-8")
-    return struct.pack("<I", len(data)) + data
 
 
 class _Reader:

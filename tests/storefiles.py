@@ -1,12 +1,17 @@
 """Store files written and read byte by byte, independently of the engine:
-`write_v1` and `read_v1` follow the version-1 record layout, for malformed
-inputs and golden checks."""
+`write_v1` and `read_v1` follow the version-1 record layout and `v2_file`
+the version-2 column layout, for malformed inputs and golden checks."""
 
 from __future__ import annotations
 
+import itertools
 import struct
+import zlib
 
 import numpy as np
+
+V2_COLUMNS = ("vectors", "flags", "lat", "lon", "start", "end", "credibility",
+              "id_offsets", "ids", "source_offsets", "sources", "text_offsets", "texts")
 
 
 def write_v1(path, rows, dim):
@@ -58,3 +63,34 @@ def read_v1(path) -> dict[str, dict]:
         }
     assert pos == len(data)
     return records
+
+
+def v2_file(dim, vectors, flags, floats, strings) -> tuple[bytes, dict[str, int]]:
+    """A version-2 store file with a correct checksum, and the byte offset
+    at which each of `V2_COLUMNS` starts. `floats` holds the lat, lon,
+    start, end and credibility columns; `strings` the doc id, source and
+    text columns, each a list of byte strings or an (offsets, blob) pair."""
+    n = len(flags)
+    tables = []
+    for column in strings:
+        if isinstance(column, tuple):
+            tables.append(column)
+        else:
+            tables.append(([0, *itertools.accumulate(map(len, column))], b"".join(column)))
+    out = bytearray(b"GCEV" + struct.pack("<HIQQQQ", 2, dim, n, *(len(blob) for _, blob in tables)))
+    raw = [np.asarray(vectors, dtype="<f4").tobytes(), bytes(flags)]
+    raw += [struct.pack(f"<{n}d", *values) for values in floats]
+    for offsets, blob in tables:
+        raw += [struct.pack(f"<{len(offsets)}Q", *offsets), blob]
+    starts = {}
+    for name, column in zip(V2_COLUMNS, raw, strict=True):
+        out += bytes(-len(out) % 64)
+        starts[name] = len(out)
+        out += column
+    out += bytes(-len(out) % 64)
+    return bytes(out + struct.pack("<I", zlib.crc32(out))), starts
+
+
+def restamp(data: bytes) -> bytes:
+    """A version-2 file with its trailing checksum recomputed."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))

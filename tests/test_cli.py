@@ -143,7 +143,7 @@ class TestQueryCommand:
 
     def test_corrupt_store_is_data_error(self, workspace, tmp_path, capsys):
         data = bytearray(workspace["store"].read_bytes())
-        data[22] = 0xFF  # first byte of the first doc id: not UTF-8
+        data[64] ^= 0xFF  # first byte of the first vector: the checksum no longer matches
         store = tmp_path / "corrupt.gcev"
         store.write_bytes(bytes(data))
         code = main(["query", "--store", str(store), "--prompt", "Amber Basalt"])

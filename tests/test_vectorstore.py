@@ -1,15 +1,19 @@
 import math
 import struct
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from oracles import geohash_by_quantization, oracle_hybrid, oracle_knn
+from storefiles import write_v1
 
 from geocontext import DEFAULT_CONFIG
 from geocontext import vectorstore
@@ -54,13 +58,9 @@ def build_random_store(n, seed=0, with_points=True, with_windows=True):
         credibility = float(rng.uniform(0, 1))
         rec = record(f"doc{i:04d}", unit(rng), point=point, window=window, credibility=credibility)
         store.upsert(rec)
-        stored = store.get(rec.doc_id)
-        meta[rec.doc_id] = {
-            "vec64": stored.vector.astype(np.float64),
-            "point": point,
-            "window": window,
-            "credibility": credibility,
-        }
+        meta[rec.doc_id] = {"point": point, "window": window, "credibility": credibility}
+    for doc_id, fields in meta.items():
+        fields["vec64"] = store.get(doc_id).vector.astype(np.float64)
     return store, meta, rng
 
 
@@ -552,6 +552,161 @@ class TestConcurrency:
         assert len(store) == 100
 
 
+class TestWritePath:
+    """`upsert` buffers rows, and the next read folds them all at once."""
+
+    def test_one_fold_per_read_after_writes(self, monkeypatch):
+        folds = []
+        fold = HybridIndex._fold
+        monkeypatch.setattr(HybridIndex, "_fold", lambda self: folds.append(1) or fold(self))
+        rng = np.random.default_rng(36)
+        store = HybridIndex(CFG)
+        for i in range(300):
+            store.upsert(record(f"doc{i:03d}", unit(rng)))
+        assert folds == []
+        assert len(store) == 300
+        assert len(folds) == 1
+        store.knn(unit(rng), 3)
+        store.get("doc001")
+        store.doc_ids()
+        assert len(folds) == 1
+        assert store.upsert(record("doc005", unit(rng))) is True  # replaces a folded row
+        assert store.upsert(record("new", unit(rng))) is False
+        assert store.upsert(record("new", unit(rng))) is True  # replaces a buffered row
+        assert len(folds) == 1
+        assert len(store) == 301 and store.doc_ids()[-1] == "new"
+        assert len(folds) == 2
+
+    def test_upsert_copies_no_column(self):
+        store, _, rng = build_random_store(2000, seed=35)
+        cols = store._columns
+        tracemalloc.start()
+        try:
+            for i in range(0, 100, 2):
+                store.upsert(record(f"doc{i:04d}", unit(rng)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store._columns is cols
+        assert peak < cols.matrix.nbytes / 8, peak
+
+
+POOL = [unit(np.random.default_rng(100 + i)) for i in range(5)]
+POINTS = [None, HERE, GeoPoint(1.31, 103.8), GeoPoint(-33.9, 151.2)]
+WINDOWS = [None, TimeWindow(0.0, 10.0), TimeWindow(5.0, 50.0)]
+IDS = st.text(st.characters(codec="utf-8"), min_size=1, max_size=6)
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """Every write path and read of a store against a dict of the records
+    `get` must return, ranked by the naive oracles."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = HybridIndex(CFG)
+        self.model: dict[str, VectorRecord] = {}
+        self.dir = tempfile.TemporaryDirectory()
+
+    def teardown(self):
+        self.dir.cleanup()
+
+    def put(self, doc_id, data) -> bool:
+        vec = POOL[data.draw(st.integers(0, len(POOL) - 1))] * data.draw(st.sampled_from([1.0, 3.5, 1e-3]))
+        rec = record(
+            doc_id, vec,
+            point=data.draw(st.sampled_from(POINTS)),
+            window=data.draw(st.sampled_from(WINDOWS)),
+            credibility=data.draw(st.sampled_from([0.2, 0.6, 1.0])),
+            source=data.draw(st.sampled_from(["", "src", "sé"])),
+            text=data.draw(st.text(max_size=5)),
+        )
+        existed = self.store.upsert(rec)
+        self.model[doc_id] = replace(rec, vector=(vec / np.linalg.norm(vec)).astype(np.float32))
+        return existed
+
+    def meta(self):
+        return {
+            doc_id: {"vec64": rec.vector.astype(np.float64), "point": rec.point, "window": rec.window,
+                     "credibility": rec.credibility}
+            for doc_id, rec in self.model.items()
+        }
+
+    def query_vector(self, data):
+        return data.draw(st.sampled_from(POOL)) if data.draw(st.booleans()) else unit(np.random.default_rng(
+            data.draw(st.integers(0, 2**32 - 1))))
+
+    @rule(data=st.data())
+    def upsert_new(self, data):
+        doc_id = data.draw(IDS.filter(lambda i: i not in self.model))
+        assert self.put(doc_id, data) is False
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def upsert_existing(self, data):
+        doc_id = data.draw(st.sampled_from(sorted(self.model)))
+        assert self.put(doc_id, data) is True
+
+    @rule(data=st.data())
+    def get(self, data):
+        doc_id = data.draw(st.sampled_from(sorted(self.model)) if self.model and data.draw(st.booleans()) else IDS)
+        got, want = self.store.get(doc_id), self.model.get(doc_id)
+        if want is None:
+            assert got is None
+            return
+        assert got.vector.dtype == np.float32 and got.vector.tobytes() == want.vector.tobytes()
+        assert (got.doc_id, got.point, got.window, got.credibility, got.source, got.text) == (
+            want.doc_id, want.point, want.window, want.credibility, want.source, want.text)
+
+    @rule()
+    def size_and_ids(self):
+        assert len(self.store) == len(self.model)
+        assert self.store.doc_ids() == sorted(self.model)
+        # `_may_rank`'s error bound needs an upper bound on the row norms, up
+        # to the rounding of a float64 sum that its slack covers.
+        matrix = self.store._columns.matrix.astype(np.float64)
+        assert self.store._columns.norm_max >= max(np.linalg.norm(matrix, axis=1), default=0.0) * (1 - 2.0**-40)
+
+    @rule(data=st.data(), k=st.integers(1, 8))
+    def knn(self, data, k):
+        qv = self.query_vector(data)
+        assert [h.doc_id for h in self.store.knn(qv, k)] == oracle_knn(self.meta(), qv, k)
+
+    @rule(data=st.data(), k=st.integers(1, 8))
+    def hybrid_search(self, data, k):
+        spec = QuerySpec(
+            text_vector=self.query_vector(data),
+            point=data.draw(st.sampled_from(POINTS)),
+            time=data.draw(st.sampled_from([None, 7.0, 20.0])),
+            k=k,
+            min_credibility=data.draw(st.sampled_from([0.0, 0.5])),
+        )
+        if spec.point is not None and data.draw(st.booleans()):
+            spec = replace(spec, radius_filter=5000.0)
+        assert [h.doc_id for h in self.store.hybrid_search(spec)] == oracle_hybrid(self.meta(), spec, CFG)
+
+    @rule(data=st.data(), min_credibility=st.sampled_from([0.0, 0.5]), dedup=st.sampled_from([0.9, 1.0]))
+    def relevance_filter(self, data, min_credibility, dedup):
+        hits = self.store.knn(self.query_vector(data), 8)
+        kept, kept_vecs = [], []
+        for hit in hits:
+            rec = self.model[hit.doc_id]
+            vec = rec.vector.astype(np.float64)
+            if rec.credibility >= min_credibility and all(float(np.dot(vec, v)) < dedup for v in kept_vecs):
+                kept.append(hit)
+                kept_vecs.append(vec)
+        assert self.store.relevance_filter(hits, min_credibility, dedup) == kept
+
+    @rule()
+    def save_then_load(self):
+        path = Path(self.dir.name) / "store.gcev"
+        self.store.save(path)
+        self.store = HybridIndex.load(path, CFG)
+
+
+StoreMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
+TestStoreMachine = StoreMachine.TestCase
+
+
 class TestRelevanceFilter:
     def test_passthrough_when_clean(self):
         store, meta, rng = build_random_store(20, seed=14)
@@ -594,23 +749,6 @@ class TestRelevanceFilter:
             store.relevance_filter([], min_credibility=0.0, dedup_cosine=0.0)
 
 
-def write_v1(path, rows):
-    """A version-1 store file of records given as (doc_id, vector,
-    credibility, source, text) with raw byte strings, optionally followed by
-    a (lat, lon) point and a (start, end) window, each of which may be None."""
-    out = bytearray(b"GCEV" + struct.pack("<HIQ", 1, D, len(rows)))
-    for doc_id, vec, credibility, source, text, *extra in rows:
-        point, window = (*extra, None, None)[:2]
-        out += struct.pack("<I", len(doc_id)) + doc_id + np.asarray(vec, dtype="<f4").tobytes()
-        out += struct.pack("<B", (point is not None) | (window is not None) << 1)
-        for pair in (point, window):
-            if pair is not None:
-                out += struct.pack("<dd", *pair)
-        out += struct.pack("<d", credibility)
-        out += struct.pack("<I", len(source)) + source + struct.pack("<I", len(text)) + text
-    path.write_bytes(bytes(out))
-
-
 UNIT = np.full(D, 1.0 / math.sqrt(D), dtype=np.float32)
 NAN_VEC = UNIT.copy()
 NAN_VEC[3] = np.nan
@@ -628,6 +766,8 @@ class TestPersistence:
             ((b"b", UNIT, 1.0, b"s\xffc", b"text"), CREDIBILITY_AT + 8 + 4 + 1),
             ((b"b", UNIT, 1.0, b"src", b"te\xe9t"), CREDIBILITY_AT + 8 + 4 + 3 + 4 + 2),
             ((b"b", NAN_VEC, 1.0, b"src", b"text"), VECTOR_AT),
+            ((b"b", 3.0 * UNIT, 1.0, b"src", b"text"), VECTOR_AT),
+            ((b"b", (1.0 + 2.0**-20) * UNIT, 1.0, b"src", b"text"), VECTOR_AT),
             ((b"b", UNIT, float("nan"), b"src", b"text"), CREDIBILITY_AT),
             ((b"b", UNIT, float("-inf"), b"src", b"text"), CREDIBILITY_AT),
             ((b"a", UNIT, 1.0, b"src", b"text"), SECOND_AT),
@@ -635,14 +775,15 @@ class TestPersistence:
             ((b"b", UNIT, 1.0, b"src", b"text", (91.0, 0.0)), CREDIBILITY_AT),
             ((b"b", UNIT, 1.0, b"src", b"text", None, (5.0, 1.0)), CREDIBILITY_AT),
         ],
-        ids=["id-not-utf8", "source-not-utf8", "text-not-utf8", "nan-vector", "nan-credibility",
+        ids=["id-not-utf8", "source-not-utf8", "text-not-utf8", "nan-vector", "non-unit-vector",
+             "slightly-non-unit-vector", "nan-credibility",
              "inf-credibility", "duplicate-id", "nan-latitude", "latitude-out-of-range", "window-reversed"],
     )
     def test_malformed_record_raises_corrupt_at_offset(self, tmp_path, second, offset):
         path = tmp_path / "store.gcev"
-        write_v1(path, [FIRST, (b"b", UNIT, 0.5, b"src", b"text", (1.5, 2.5), (1.0, 5.0))])
+        write_v1(path, [FIRST, (b"b", UNIT, 0.5, b"src", b"text", (1.5, 2.5), (1.0, 5.0))], D)
         assert HybridIndex.load(path, CFG).doc_ids() == ["a", "b"]
-        write_v1(path, [FIRST, second])
+        write_v1(path, [FIRST, second], D)
         with pytest.raises(CorruptFile) as err:
             HybridIndex.load(path, CFG)
         assert err.value.offset == offset
@@ -811,26 +952,6 @@ class TestFloat32Filter:
                 assert [h.doc_id for h in store.knn(q, k)] == oracle_knn(meta, q, k)
         assert [h.doc_id for h in store.hybrid_search(spec)] == oracle_hybrid(meta, spec, CFG)
 
-    @pytest.mark.parametrize("k", [1, 2, 5, 12])
-    def test_v1_store_with_non_unit_vectors(self, tmp_path, k):
-        # `save` writes unit vectors, but a v1 file may hold any finite
-        # vector; a norm-3 row scales its float32 error by 3, which the
-        # bound must take from the snapshot rather than assume away.
-        rng = np.random.default_rng(32)
-        q = unit(rng).astype(np.float32)
-        rows = [(b"big", 3.0 * q, 1.0, b"src", b"text", (1.3, 103.8))]
-        rows += [(f"x{i:02d}".encode(), 3.0 * near_copy(rng, q, 1e-7), 1.0, b"src", b"text") for i in range(20)]
-        rows += [(f"y{i:02d}".encode(), unit(rng), 1.0, b"src", b"text") for i in range(20)]
-        path = tmp_path / "v1.gcev"
-        write_v1(path, rows)
-        store = HybridIndex.load(path, CFG)
-        assert np.linalg.norm(store.get("big").vector) == pytest.approx(3.0)
-        meta = meta_of(store)
-        spec = QuerySpec(text_vector=q, point=HERE, k=k)
-        assert store.hybrid_search(spec) == full_sort(store, spec)
-        assert [h.doc_id for h in store.hybrid_search(spec)] == oracle_hybrid(meta, spec, CFG)
-        assert [h.doc_id for h in store.knn(q, k)] == oracle_knn(meta, q, k)
-
     def test_refine_scores_few_rows(self, monkeypatch):
         # The point of the filter: on a store without near ties, a k=10
         # query rescores a few more rows than k, not the store.
@@ -843,10 +964,10 @@ class TestFloat32Filter:
         assert all(10 <= size < 100 for size in scored), scored
 
     def test_no_float64_copy_of_the_matrix(self):
-        # The snapshot keeps the float32 vectors, and exact scores widen them
-        # a block at a time: neither building the snapshot nor rescoring
-        # every row (they all tie, so the filter keeps them all) allocates
-        # an N x d float64 matrix.
+        # The columns keep the float32 vectors, and exact scores widen them
+        # a block at a time: neither folding the buffered upserts into the
+        # columns nor rescoring every row (they all tie, so the filter keeps
+        # them all) allocates an N x d float64 matrix.
         n = 6000
         rng = np.random.default_rng(34)
         v = unit(rng)
@@ -855,7 +976,7 @@ class TestFloat32Filter:
             store.upsert(record(f"doc{i:04d}", v, point=HERE, window=TimeWindow(0.0, 10.0)))
         tracemalloc.start()
         try:
-            cols = store._columns = vectorstore._Columns.build(store._records, CFG.d_text)
+            cols = store._snapshot()
             held, build_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             knn = store.knn(v, 1)
