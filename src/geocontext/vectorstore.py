@@ -252,9 +252,10 @@ class HybridIndex:
             raise InvalidVectorDim("vector has non-finite components")
         norm = float(np.linalg.norm(vec))
         if not 2.0**-500 < norm < 2.0**500 and np.any(vec):
-            # The sum of squares underflowed or overflowed, so `norm` is off
-            # or 0 or inf: scale by a power of two (exact) to a largest
-            # component in [0.5, 1) first.
+            # Outside (2^-500, 2^500) the float64 sum of squares may have
+            # lost bits to underflow or overflowed, so `norm` can be off, 0 or
+            # inf: scale by a power of two (exact) to a largest component in
+            # [0.5, 1) first. Inside it the sum is a normal float64.
             vec = np.ldexp(vec, -math.frexp(float(np.max(np.abs(vec))))[1])
             norm = float(np.linalg.norm(vec))
         if norm > 0.0:

@@ -551,6 +551,56 @@ class TestConcurrency:
         assert errors == []
         assert len(store) == 100
 
+    def test_parallel_writers_and_folds_lose_no_write(self):
+        # Four writers append to the buffer while two readers fold it, with
+        # thread switches forced every microsecond: a row appended during a
+        # fold and then dropped with the buffer would go missing here.
+        import sys
+        import threading
+
+        store = HybridIndex(CFG)
+        vectors = [unit(np.random.default_rng(1100 + i)) for i in range(4)]
+        errors = []
+        done = threading.Event()
+
+        def writer(w):
+            try:
+                for i in range(150):
+                    store.upsert(record(f"w{w}-{i:03d}", vectors[w]))
+                    store.upsert(record("shared", vectors[w]))
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        def reader():
+            try:
+                while not done.is_set():
+                    ids = store.doc_ids()
+                    assert ids == sorted(set(ids))
+                    store.knn(vectors[0], 3)
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            for t in writers + readers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            done.set()
+            for t in readers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + readers)
+        assert errors == []
+        assert store.doc_ids() == sorted([f"w{w}-{i:03d}" for w in range(4) for i in range(150)] + ["shared"])
+        for w in range(4):
+            want = (vectors[w] / np.linalg.norm(vectors[w])).astype(np.float32)
+            assert np.array_equal(store.get(f"w{w}-149").vector, want)
+
 
 class TestWritePath:
     """`upsert` buffers rows, and the next read folds them all at once."""
