@@ -429,7 +429,6 @@ class HybridIndex:
             kept_vecs.append(vec)
         return kept
 
-
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
@@ -503,7 +502,7 @@ def _reject_first(bad: np.ndarray, at: int, stride: int, what: str) -> None:
         raise CorruptFile(what, offset=at + stride * row)
 
 
-def _read_v1(reader: "_Reader", store: HybridIndex, dim: int, count: int) -> None:
+def _read_v1(reader: _Reader, store: HybridIndex, dim: int, count: int) -> None:
     """Append the records of a version-1 file, one after another, to
     `store` as `upsert` does, without renormalizing."""
     for _ in range(count):

@@ -1,5 +1,4 @@
 import math
-import struct
 import tempfile
 import tracemalloc
 from dataclasses import replace
