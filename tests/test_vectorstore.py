@@ -1001,6 +1001,32 @@ class TestFloat32Filter:
                 assert [h.doc_id for h in store.knn(q, k)] == oracle_knn(meta, q, k)
         assert [h.doc_id for h in store.hybrid_search(spec)] == oracle_hybrid(meta, spec, CFG)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_v1_store_with_non_unit_vectors(self, tmp_path, k):
+        # The float32 error bound assumes rows of norm at most `norm_max`, so
+        # a v1 file whose near copies of the query are scaled to norm 3 from
+        # row k on is CorruptFile at row k's vector; the same file with unit
+        # rows loads and ranks like the full sort and the oracles.
+        rng = np.random.default_rng(32)
+        q = unit(rng).astype(np.float32)
+        near = [near_copy(rng, q, 1e-7) for _ in range(20)]
+        rows = [(f"x{i:02d}".encode(), v / np.linalg.norm(v), 1.0, b"src", b"text") for i, v in enumerate(near)]
+        rows += [(f"y{i:02d}".encode(), unit(rng), 1.0, b"src", b"text") for i in range(20)]
+        path = tmp_path / "v1.gcev"
+        write_v1(path, rows, D)
+        store = HybridIndex.load(path, CFG)
+        meta = meta_of(store)
+        spec = QuerySpec(text_vector=q, point=HERE, k=k)
+        assert store.hybrid_search(spec) == full_sort(store, spec)
+        assert [h.doc_id for h in store.hybrid_search(spec)] == oracle_hybrid(meta, spec, CFG)
+        assert [h.doc_id for h in store.knn(q, k)] == oracle_knn(meta, q, k)
+        scaled = rows[:k] + [(i, 3.0 * v, *rest) for i, v, *rest in rows[k:20]] + rows[20:]
+        write_v1(path, scaled, D)
+        with pytest.raises(CorruptFile) as err:
+            HybridIndex.load(path, CFG)
+        row_bytes = 4 + 3 + 4 * D + 1 + 8 + 4 + 3 + 4 + 4  # 3-byte id, no point or window
+        assert err.value.offset == 18 + k * row_bytes + 4 + 3
+
     def test_refine_scores_few_rows(self, monkeypatch):
         # The point of the filter: on a store without near ties, a k=10
         # query rescores a few more rows than k, not the store.
