@@ -5,6 +5,10 @@ version-1 compatibility pinned by golden files.
 for the 100-landmark fixture gazetteer, and `data/landmarks100_v1_queries.json`
 the `gce query --json` output of that store for a few prompts, with and
 without `--time`, both from the last engine that wrote version 1.
+`data/landmarks100_v2.gcev` is the version-2 store that `gce ingest` wrote
+for the same gazetteer plus the fixture descriptions (`scripts/make_fixtures.py`
+output), before ingest embedded a batch at a time: writing it again must give
+the same bytes.
 """
 
 import json
@@ -24,13 +28,14 @@ from storefiles import read_v1, restamp, v2_file
 from geocontext import DEFAULT_CONFIG
 from geocontext.cli import main
 from geocontext.errors import CorruptFile, InvalidVectorDim, VersionMismatch
-from geocontext.fixtures import build_landmarks, write_gazetteer_csv
+from geocontext.fixtures import build_landmarks, write_description_fixtures, write_gazetteer_csv
 from geocontext.geomodel import GeoPoint, TimeWindow
 from geocontext.vectorstore import HybridIndex, QuerySpec, VectorRecord
 
 CFG = DEFAULT_CONFIG
 DATA = Path(__file__).parent / "data"
 V1_STORE = DATA / "landmarks100_v1.gcev"
+V2_STORE = DATA / "landmarks100_v2.gcev"
 GOLDEN = json.loads((DATA / "landmarks100_v1_queries.json").read_text(encoding="utf-8"))
 
 
@@ -78,6 +83,17 @@ class TestV1Golden:
                 assert v1.hybrid_search(spec) == resaved.hybrid_search(spec)
         for case in GOLDEN:
             assert query_json(path, gazetteer_csv, case, capsys) == case["stdout"]
+
+
+class TestV2Golden:
+    def test_ingest_writes_the_golden_bytes(self, tmp_path):
+        records = build_landmarks(100)
+        csv_path = write_gazetteer_csv(records, tmp_path / "gazetteer.csv")
+        write_description_fixtures(records, tmp_path / "descriptions", count=3)
+        store = tmp_path / "store.gcev"
+        argv = ["ingest", "--gazetteer", str(csv_path), "--fixtures", str(tmp_path / "descriptions"), "--store", str(store)]
+        assert main(argv) == 0
+        assert store.read_bytes() == V2_STORE.read_bytes()
 
 
 D = CFG.d_text
