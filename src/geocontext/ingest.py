@@ -24,11 +24,17 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DuplicateId, MissingHeader, RowError
 from .geomodel import GeoPoint, LandmarkRecord, TimeWindow
-from .spatial_embed import embed_text, make_composite, text_tokens
+# `perfbench/tracer.py` wraps `ingest.make_composite` by name, so it stays
+# imported here.
+from .spatial_embed import embed_landmarks, embed_text, make_composite, text_tokens
 from .vectorstore import HybridIndex, VectorRecord
 
 CSV_COLUMNS = ("id", "name", "lat", "lon", "category", "description", "source", "credibility", "admin_path")
 CSV_OPTIONAL_COLUMNS = ("window_start", "window_end", "event")
+
+# Records embedded at once: a batch's float64 blocks take about 10 KB per
+# record, so memory stays flat however many records one call indexes.
+_EMBED_ROWS = 1024
 
 
 def _parse_row(row: dict[str, str]) -> LandmarkRecord:
@@ -212,20 +218,35 @@ def quality_filter(
     return kept, report
 
 
-def _index_record(rec: LandmarkRecord, text: str, store: HybridIndex, config: EngineConfig) -> None:
-    """Composite-embed one landmark record and upsert it under its id."""
-    composite = make_composite(rec, event_text=rec.event_text, config=config)
-    store.upsert(
-        VectorRecord(
-            doc_id=rec.id,
-            vector=composite.standardized,
-            point=rec.point,
-            window=rec.window,
-            credibility=rec.credibility,
-            source=rec.source,
-            text=text,
-        )
-    )
+def _index_records(records: Sequence[LandmarkRecord], texts: Sequence[str], store: HybridIndex,
+                   config: EngineConfig) -> None:
+    """Composite-embed the records in batches of `_EMBED_ROWS`, upserting
+    each batch under its ids, in order, with no read in between (a read
+    folds the whole store).
+
+    A record with event text but no time window raises MissingWindow after
+    the records before it are upserted, as when each record is embedded and
+    upserted in turn.
+    """
+    stop = next((i for i, rec in enumerate(records) if rec.event_text is not None and rec.window is None),
+                len(records))
+    for at in range(0, stop, _EMBED_ROWS):
+        batch = records[at : min(at + _EMBED_ROWS, stop)]
+        vectors = embed_landmarks(batch, [rec.event_text for rec in batch], config)[3]
+        for rec, text, vector in zip(batch, texts[at:], vectors):
+            store.upsert(
+                VectorRecord(
+                    doc_id=rec.id,
+                    vector=vector,
+                    point=rec.point,
+                    window=rec.window,
+                    credibility=rec.credibility,
+                    source=rec.source,
+                    text=text,
+                )
+            )
+    if stop < len(records):
+        make_composite(records[stop], records[stop].event_text, config)  # raises MissingWindow
 
 
 def index_gazetteer(
@@ -237,11 +258,10 @@ def index_gazetteer(
 
     Idempotent: re-indexing the same records replaces rather than duplicates.
     """
-    count = 0
-    for rec in records:
-        _index_record(rec, f"{rec.name}: {rec.description}" if rec.description else rec.name, store, config)
-        count += 1
-    return count
+    records = list(records)
+    texts = [f"{rec.name}: {rec.description}" if rec.description else rec.name for rec in records]
+    _index_records(records, texts, store, config)
+    return len(records)
 
 
 def index_descriptions(
@@ -252,8 +272,8 @@ def index_descriptions(
 ) -> int:
     """Index kept description candidates as separate records anchored at the
     landmark's point, ids suffixed #d0, #d1, ..."""
-    for i, cand in enumerate(candidates):
-        pseudo = LandmarkRecord(
+    pseudo = [
+        LandmarkRecord(
             id=f"{landmark.id}#d{i}",
             name=landmark.name,
             point=landmark.point,
@@ -263,5 +283,7 @@ def index_descriptions(
             credibility=cand.credibility,
             window=landmark.window,
         )
-        _index_record(pseudo, cand.text, store, config)
+        for i, cand in enumerate(candidates)
+    ]
+    _index_records(pseudo, [cand.text for cand in candidates], store, config)
     return len(candidates)

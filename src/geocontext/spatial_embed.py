@@ -8,6 +8,19 @@ drowns the others) and projected by a fixed seeded random-sign matrix down to
 the text-embedding dimensionality, so one index serves text and spatial
 content alike.
 
+`embed_landmarks` builds the composite vectors of a whole batch of landmarks;
+`encode_location`, `embed_text`, `make_composite` and `standardize` are
+one-row calls into the same steps, so each step has one implementation and a
+batch gives the same bits as one record at a time:
+
+- the location block evaluates `math.sin` and `math.cos` on angles that
+  numpy computes with the same IEEE operations as scalar code;
+- the text blocks add up +-1 per token slot; the counts are small integers,
+  exact in any order, and a bounded cache maps each whitespace-split word to
+  its slot, because names, categories and common words repeat;
+- the projection is one matrix-vector product per row, never one matrix
+  product for the batch, which sums in another order and changes last bits.
+
 Everything here is pure and deterministic for a fixed config: token hashing
 and the projection matrix both derive from keyed blake2b streams, not from a
 process- or library-dependent RNG.
@@ -16,6 +29,7 @@ process- or library-dependent RNG.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -31,6 +45,10 @@ from .geotext.tokens import Token
 
 _STRIP_CHARS = string.punctuation + "°“”‘’"
 
+# Words whose token slots `_word_slot` keeps: far more than the distinct
+# words of a typical batch, and a few MB at most in a long-running service.
+_SLOT_CACHE_SIZE = 1 << 14
+
 
 class ExternalEmbedder(Protocol):
     """Contract for substituting a learned embedder: must be deterministic
@@ -39,12 +57,15 @@ class ExternalEmbedder(Protocol):
     def __call__(self, tokens: Sequence[str], dim: int) -> Sequence[float]: ...
 
 
+def _canonical(text: str) -> str:
+    return text.casefold().strip(_STRIP_CHARS)
+
+
 def norm_tokens(items: Iterable[str | Token]) -> list[str]:
     """Canonical embedding tokens: casefolded, surrounding punctuation stripped."""
     out = []
     for item in items:
-        text = item.text if isinstance(item, Token) else item
-        cleaned = text.casefold().strip(_STRIP_CHARS)
+        cleaned = _canonical(item.text if isinstance(item, Token) else item)
         if cleaned:
             out.append(cleaned)
     return out
@@ -61,21 +82,58 @@ def _hash64(token: str, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _slot(token: str, dim: int, seed: int) -> int:
+    """The signed slot of a token: bucket h mod dim, plus one, negated when
+    the top bit of the hash h is clear (that token counts -1)."""
+    h = _hash64(token, seed)
+    return h % dim + 1 if h >> 63 else -(h % dim + 1)
+
+
+@lru_cache(maxsize=_SLOT_CACHE_SIZE)
+def _word_slot(word: str, dim: int, seed: int) -> int:
+    """The signed slot of a whitespace-split word's canonical token, or 0
+    when the word normalizes to nothing."""
+    token = _canonical(word)
+    return _slot(token, dim, seed) if token else 0
+
+
+def _hash_rows(slot_rows: Sequence[Sequence[int]], dim: int) -> np.ndarray:
+    """Signed feature hashing of n token lists, given as nonzero signed
+    slots: the +-1 counts per bucket, each nonzero row divided by its norm.
+    The counts and their sums of squares are small integers, exact in any
+    order, so every row has the bits of a token-by-token sum."""
+    n = len(slot_rows)
+    slots = np.fromiter(itertools.chain.from_iterable(slot_rows), dtype=np.intp)
+    signs = np.sign(slots)
+    at = np.repeat(np.arange(0, n * dim, dim), list(map(len, slot_rows))) + slots * signs - 1
+    # `astype`: with no tokens at all, `bincount` counts in integers.
+    counts = np.bincount(at, weights=signs, minlength=n * dim).astype(np.float64, copy=False).reshape(n, dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
+    return np.divide(counts, norms, out=counts, where=norms > 0.0)
+
+
 def embed_text(tokens: Sequence[str | Token], dim: int, seed: int = DEFAULT_CONFIG.hash_seed) -> np.ndarray:
     """Signed feature hashing: index from h mod dim, sign from the top hash bit,
     accumulated and L2-normalized. Empty input gives the zero vector."""
     if dim < 1:
         raise DimensionMismatch(f"dim must be >= 1, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    for item in tokens:
-        text = item.text if isinstance(item, Token) else item
-        h = _hash64(text, seed)
-        sign = 1.0 if (h >> 63) & 1 else -1.0
-        vec[h % dim] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
+    slots = [_slot(item.text if isinstance(item, Token) else item, dim, seed) for item in tokens]
+    return _hash_rows([slots], dim)[0]
+
+
+def _location_rows(lat: np.ndarray, lon: np.ndarray, d_loc: int) -> np.ndarray:
+    """`encode_location` of n points given as latitude and longitude
+    arrays. numpy forms each angle with the scalar code's multiply and
+    divide, and `math.sin`/`math.cos` evaluate it, so every row has the bits
+    of the scalar formula."""
+    scales = np.array([float(2**k) for k in range(d_loc // 4)])
+    out = np.zeros((len(lat), d_loc))
+    for j, coord in enumerate((lat, lon)):
+        angles = (math.pi * coord[:, None] / scales).ravel().tolist()
+        for m, fn in enumerate((math.sin, math.cos)):
+            values = np.fromiter(map(fn, angles), dtype=np.float64, count=len(angles))
+            out[:, 2 * j + m : 4 * scales.size : 4] = values.reshape(len(lat), scales.size)
+    return out
 
 
 def encode_location(p: GeoPoint, d_loc: int = DEFAULT_CONFIG.d_loc) -> np.ndarray:
@@ -86,14 +144,7 @@ def encode_location(p: GeoPoint, d_loc: int = DEFAULT_CONFIG.d_loc) -> np.ndarra
     so equal points always map to equal vectors and every component is in
     [-1, 1]. The full vector has constant norm sqrt(d_loc / 2).
     """
-    scales = d_loc // 4
-    vec = np.empty(d_loc, dtype=np.float64)
-    for k in range(scales):
-        s_k = float(2**k)
-        a_lat = math.pi * p.lat / s_k
-        a_lon = math.pi * p.lon / s_k
-        vec[4 * k : 4 * k + 4] = (math.sin(a_lat), math.cos(a_lat), math.sin(a_lon), math.cos(a_lon))
-    return vec
+    return _location_rows(np.array([p.lat]), np.array([p.lon]), d_loc)[0]
 
 
 @lru_cache(maxsize=8)
@@ -117,23 +168,35 @@ def _projection_matrix(seed: int, d_out: int, d_in: int) -> np.ndarray:
     return matrix
 
 
-def project(vec: np.ndarray, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """The linear part of standardize (no normalization)."""
+def _check_concat(vec: np.ndarray, config: EngineConfig) -> np.ndarray:
     arr = np.asarray(vec, dtype=np.float64)
     if arr.shape != (config.concat_dim,):
         raise DimensionMismatch(f"expected length {config.concat_dim}, got {arr.shape}")
+    return arr
+
+
+def project(vec: np.ndarray, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The linear part of standardize (no normalization)."""
+    return _projection_matrix(config.projection_seed, config.d_text, config.concat_dim) @ _check_concat(vec, config)
+
+
+def _standardize_rows(concat: np.ndarray, config: EngineConfig) -> np.ndarray:
+    """`standardize` of each row of an n x concat_dim array: one
+    matrix-vector product per row, and its norm taken as `np.linalg.norm`
+    takes it, so each row has the bits of a one-row call."""
     matrix = _projection_matrix(config.projection_seed, config.d_text, config.concat_dim)
-    return matrix @ arr
+    out = np.empty((len(concat), config.d_text))
+    for i, row in enumerate(concat):
+        projected = matrix @ row
+        norm = math.sqrt(projected.dot(projected))
+        out[i] = projected / norm if norm > 0.0 else projected
+    return out
 
 
 def standardize(vec: np.ndarray, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Project the concatenated composite down to d_text and L2-normalize
     nonzero results. Zero input maps to the zero vector."""
-    projected = project(vec, config)
-    norm = float(np.linalg.norm(projected))
-    if norm > 0.0:
-        projected /= norm
-    return projected
+    return _standardize_rows(_check_concat(vec, config)[None], config)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +223,19 @@ class CompositeSpatialVector:
         return bool(np.allclose(self.standardized, standardize(self.concat(config), config), atol=atol))
 
 
+def _concat_rows(location: np.ndarray, spatial_text: np.ndarray, dynamic: np.ndarray,
+                 config: EngineConfig) -> np.ndarray:
+    """`composite_concat` of n-row blocks."""
+    loc = location / math.sqrt(config.d_loc / 2)
+    n = len(loc)
+    if loc.shape != (n, config.d_loc) or spatial_text.shape != (n, config.d_st) or dynamic.shape != (n, config.d_dyn):
+        raise DimensionMismatch(
+            f"block shapes {loc.shape[1:]}/{spatial_text.shape[1:]}/{dynamic.shape[1:]} do not match config "
+            f"{config.d_loc}/{config.d_st}/{config.d_dyn}"
+        )
+    return np.concatenate([loc, spatial_text, dynamic], axis=1)
+
+
 def composite_concat(
     location: np.ndarray,
     spatial_text: np.ndarray,
@@ -168,15 +244,57 @@ def composite_concat(
 ) -> np.ndarray:
     """Concatenate the three blocks, location scaled by its constant norm so
     each block enters with unit weight; an absent dynamic block is zeros."""
-    loc = np.asarray(location, dtype=np.float64) / math.sqrt(config.d_loc / 2)
-    st = np.asarray(spatial_text, dtype=np.float64)
-    dyn = np.zeros(config.d_dyn) if dynamic is None else np.asarray(dynamic, dtype=np.float64)
-    if loc.shape != (config.d_loc,) or st.shape != (config.d_st,) or dyn.shape != (config.d_dyn,):
-        raise DimensionMismatch(
-            f"block shapes {loc.shape}/{st.shape}/{dyn.shape} do not match config "
-            f"{config.d_loc}/{config.d_st}/{config.d_dyn}"
+    dyn = np.zeros(config.d_dyn) if dynamic is None else dynamic
+    blocks = (np.asarray(block, dtype=np.float64)[None] for block in (location, spatial_text, dyn))
+    return _concat_rows(*blocks, config)[0]
+
+
+def _block_rows(word_rows: Sequence[list[str] | None], dim: int, seed: int,
+                embedder: ExternalEmbedder | None) -> np.ndarray:
+    """One text block per row, from its whitespace-split words; zeros for
+    a row without words (None)."""
+    if embedder is None:
+        return _hash_rows(
+            [[] if words is None else [s for w in words if (s := _word_slot(w, dim, seed))] for words in word_rows],
+            dim,
         )
-    return np.concatenate([loc, st, dyn])
+    out = np.zeros((len(word_rows), dim))
+    for i, words in enumerate(word_rows):
+        if words is not None:
+            row = np.asarray(embedder(norm_tokens(words), dim), dtype=np.float64)
+            if row.shape != (dim,):
+                raise DimensionMismatch(f"embedder returned shape {row.shape} for dim {dim}")
+            out[i] = row
+    return out
+
+
+def embed_landmarks(
+    landmarks: Sequence[LandmarkRecord],
+    event_texts: Sequence[str | None],
+    config: EngineConfig = DEFAULT_CONFIG,
+    embedder: ExternalEmbedder | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The composite vectors of n landmarks, each with an event text or
+    None: the n-row location, spatial-text, dynamic (zeros without an event)
+    and standardized blocks, in that order. No row depends on another, so
+    a landmark gets the same bits in any batch, alone included.
+
+    Raises MissingWindow for the first landmark with event text but no time
+    window, before embedding any.
+    """
+    for landmark, event_text in zip(landmarks, event_texts, strict=True):
+        if event_text is not None and landmark.window is None:
+            raise MissingWindow(f"landmark {landmark.id!r} has event text but no time window")
+    n = len(landmarks)
+    lat = np.fromiter((landmark.point.lat for landmark in landmarks), dtype=np.float64, count=n)
+    lon = np.fromiter((landmark.point.lon for landmark in landmarks), dtype=np.float64, count=n)
+    location = _location_rows(lat, lon, config.d_loc)
+    st_words = [f"{lm.name} {lm.category} {lm.description}".split() for lm in landmarks]
+    spatial_text = _block_rows(st_words, config.d_st, config.hash_seed, embedder)
+    ev_words = [None if event_text is None else event_text.split() for event_text in event_texts]
+    dynamic = _block_rows(ev_words, config.d_dyn, config.hash_seed, embedder)
+    concat = _concat_rows(location, spatial_text, dynamic, config)
+    return location, spatial_text, dynamic, _standardize_rows(concat, config)
 
 
 def make_composite(
@@ -190,26 +308,12 @@ def make_composite(
     event_text requires the landmark to carry a TimeWindow; without an event
     the dynamic slot contributes zeros to the concatenation.
     """
-    embed = embedder if embedder is not None else (lambda toks, dim: embed_text(toks, dim, config.hash_seed))
-    location = encode_location(landmark.point, config.d_loc)
-    st_tokens = text_tokens(f"{landmark.name} {landmark.category} {landmark.description}")
-    spatial_text = np.asarray(embed(st_tokens, config.d_st), dtype=np.float64)
-
-    dynamic = None
-    if event_text is not None:
-        if landmark.window is None:
-            raise MissingWindow(f"landmark {landmark.id!r} has event text but no time window")
-        dynamic = DynamicVector(
-            values=np.asarray(embed(text_tokens(event_text), config.d_dyn), dtype=np.float64),
-            window=landmark.window,
-        )
-
-    concat = composite_concat(location, spatial_text, dynamic.values if dynamic else None, config)
+    location, spatial_text, dynamic, standardized = embed_landmarks([landmark], [event_text], config, embedder)
     return CompositeSpatialVector(
-        location=location,
-        spatial_text=spatial_text,
-        dynamic=dynamic,
-        standardized=standardize(concat, config),
+        location=location[0],
+        spatial_text=spatial_text[0],
+        dynamic=None if event_text is None else DynamicVector(values=dynamic[0], window=landmark.window),
+        standardized=standardized[0],
     )
 
 

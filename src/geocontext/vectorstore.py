@@ -244,20 +244,33 @@ class HybridIndex:
     def upsert(self, record: VectorRecord) -> bool:
         """Store (replacing any prior record under the same id) and return
         whether a previous record existed. Nonzero vectors are stored
-        unit-normalized in float32."""
+        unit-normalized in float32. A non-finite vector or credibility, or a
+        doc id, source or text that is not valid UTF-8 (a lone surrogate),
+        raises before anything is stored: `save` could not write it, or
+        `load` would reject it."""
         vec = np.asarray(record.vector, dtype=np.float64).reshape(-1)
         if vec.shape != (self.config.d_text,):
             raise InvalidVectorDim(f"vector length {vec.shape[0]} != d_text {self.config.d_text}")
-        if not np.all(np.isfinite(vec)):
+        # The squared norm as `np.linalg.norm` takes it; it is finite unless
+        # a component is not finite or the squares overflow.
+        sq = float(vec.dot(vec))
+        if not math.isfinite(sq) and not np.all(np.isfinite(vec)):
             raise InvalidVectorDim("vector has non-finite components")
-        norm = float(np.linalg.norm(vec))
+        if not math.isfinite(record.credibility):
+            raise InvalidArgument(f"credibility must be finite, got {record.credibility}")
+        for what in ("doc_id", "source", "text"):
+            try:
+                getattr(record, what).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise InvalidArgument(f"{what} is not valid UTF-8 text: {exc.reason}") from None
+        norm = math.sqrt(sq)
         if not 2.0**-500 < norm < 2.0**500 and np.any(vec):
             # Outside (2^-500, 2^500) the float64 sum of squares may have
             # lost bits to underflow or overflowed, so `norm` can be off, 0 or
             # inf: scale by a power of two (exact) to a largest component in
             # [0.5, 1) first. Inside it the sum is a normal float64.
             vec = np.ldexp(vec, -math.frexp(float(np.max(np.abs(vec))))[1])
-            norm = float(np.linalg.norm(vec))
+            norm = math.sqrt(vec.dot(vec))
         if norm > 0.0:
             vec = vec / norm
         return self._append(record.doc_id, vec, record.point, record.window, record.credibility,

@@ -2,12 +2,15 @@
 
 These deliberately avoid the engine's code paths: geodesy via 3D unit
 vectors, polygon containment via winding numbers, geohash via integer
-quantization, and search via naive full scans over the contract formulas.
+quantization, search via naive full scans over the contract formulas, and
+composite vectors by the one-record-at-a-time formula.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import string
 
 import numpy as np
 
@@ -140,3 +143,61 @@ def oracle_hybrid(records: dict, q, config) -> list[str]:
         scored.append((-combined, doc_id))
     scored.sort()
     return [doc_id for _, doc_id in scored[: q.k]]
+
+
+COMPOSITE_STRIP = string.punctuation + "°“”‘’"
+
+
+def composite_tokens(text: str) -> list[str]:
+    """Whitespace-split words, casefolded and stripped of surrounding
+    punctuation; words left empty are dropped."""
+    return [t for t in (w.casefold().strip(COMPOSITE_STRIP) for w in text.split()) if t]
+
+
+def composite_hash_block(tokens, dim: int, seed: int) -> np.ndarray:
+    """Signed feature hashing, one token at a time: keyed blake2b, bucket
+    h mod dim, +1 if the top bit of h is set and -1 if not, then divided by
+    the norm unless zero."""
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    vec = np.zeros(dim)
+    for token in tokens:
+        h = int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest(), "little")
+        vec[h % dim] += 1.0 if (h >> 63) & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def composite_location(lat: float, lon: float, d_loc: int) -> np.ndarray:
+    """The multi-scale code, one scalar sin and cos at a time."""
+    vec = np.empty(d_loc)
+    for k in range(d_loc // 4):
+        s_k = float(2**k)
+        a_lat = math.pi * lat / s_k
+        a_lon = math.pi * lon / s_k
+        vec[4 * k : 4 * k + 4] = (math.sin(a_lat), math.cos(a_lat), math.sin(a_lon), math.cos(a_lon))
+    return vec
+
+
+def oracle_composite(landmark, event_text, config, matrix) -> tuple[np.ndarray, ...]:
+    """Location, spatial-text, dynamic and standardized vectors of one
+    landmark: location code, hash blocks, concatenation with the location
+    scaled to unit norm, one `matrix @ x`, normalized unless zero."""
+    loc = composite_location(landmark.point.lat, landmark.point.lon, config.d_loc)
+    words = f"{landmark.name} {landmark.category} {landmark.description}"
+    st = composite_hash_block(composite_tokens(words), config.d_st, config.hash_seed)
+    dyn = np.zeros(config.d_dyn)
+    if event_text is not None:
+        dyn = composite_hash_block(composite_tokens(event_text), config.d_dyn, config.hash_seed)
+    projected = matrix @ np.concatenate([loc / math.sqrt(config.d_loc / 2), st, dyn])
+    norm = float(np.linalg.norm(projected))
+    if norm > 0.0:
+        projected /= norm
+    return loc, st, dyn, projected
+
+
+def stored_vector(vec: np.ndarray) -> np.ndarray:
+    """What a store keeps of a vector of norm near 1: divided by its
+    float64 norm, rounded to float32."""
+    return (vec / float(np.linalg.norm(vec))).astype(np.float32)

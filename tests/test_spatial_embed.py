@@ -1,14 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import composite_hash_block, composite_location, composite_tokens, oracle_composite, stored_vector
 
 from geocontext import DEFAULT_CONFIG, EngineConfig
 from geocontext.errors import DimensionMismatch, MissingWindow
 from geocontext.geomodel import GeoPoint, LandmarkRecord, TimeWindow
+from geocontext.ingest import index_gazetteer
 from geocontext.spatial_embed import (
+    _projection_matrix,
+    embed_landmarks,
     embed_text,
     encode_location,
     make_composite,
@@ -18,6 +24,7 @@ from geocontext.spatial_embed import (
     standardize,
     text_tokens,
 )
+from geocontext.vectorstore import HybridIndex
 
 CFG = DEFAULT_CONFIG
 
@@ -190,3 +197,88 @@ class TestQueryVector:
     def test_dimension_from_config(self):
         small = EngineConfig(d_text=32, d_loc=16, d_st=32, d_dyn=16)
         assert query_vector(["a"], small).shape == (32,)
+
+
+# Words that stress tokenizing: casefolds that change length (ß, İ),
+# punctuation-only words that normalize to nothing, punctuation around a
+# word, and words that repeat within and across records.
+WORDS = st.one_of(
+    st.sampled_from(["Straße", "İstanbul", "STRASSE", "...", "“”", "°", "(bay)", "bay", "Bay,", "a", "-", "'s"]),
+    st.text(max_size=6),
+)
+TEXT = st.lists(WORDS, max_size=10).map(" ".join)
+LAT = st.one_of(st.sampled_from([90.0, -90.0, 0.0, -0.0]), st.floats(-90, 90))
+LON = st.one_of(st.sampled_from([180.0, -180.0, 0.0, -0.0]), st.floats(-180, 180))
+WINDOW = st.builds(lambda a, b: TimeWindow(min(a, b), max(a, b)), st.floats(0, 2e9), st.floats(0, 2e9))
+# (window, event text): an event needs a window; a window may come without one.
+EVENT = st.one_of(st.tuples(st.none(), st.none()), st.tuples(WINDOW, st.none() | TEXT))
+ROW = st.tuples(TEXT.filter(bool), TEXT, TEXT, LAT, LON, EVENT)
+CONFIGS = st.sampled_from([CFG, EngineConfig(d_text=8, d_loc=4, d_st=1, d_dyn=3)])
+
+
+def landmarks_of(rows):
+    """(landmark, event text) pairs, ids r0, r1, ... in input order."""
+    return [
+        (LandmarkRecord(id=f"r{i}", name=name, point=GeoPoint(lat, lon), category=category,
+                        description=description, window=window), event)
+        for i, (name, category, description, lat, lon, (window, event)) in enumerate(rows)
+    ]
+
+
+class TestBatchEmbedding:
+    """`embed_landmarks` and everything built on it give the bits of the
+    one-record formula in `oracles.oracle_composite`."""
+
+    @given(CONFIGS, st.lists(ROW, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_per_record_formula(self, config, rows):
+        pairs = landmarks_of(rows)
+        matrix = _projection_matrix(config.projection_seed, config.d_text, config.concat_dim)
+        batch = embed_landmarks([lm for lm, _ in pairs], [event for _, event in pairs], config)
+        assert [block.shape for block in batch] == [
+            (len(pairs), d) for d in (config.d_loc, config.d_st, config.d_dyn, config.d_text)
+        ]
+        for i, (lm, event) in enumerate(pairs):
+            want = oracle_composite(lm, event, config, matrix)
+            assert [block[i].tobytes() for block in batch] == [w.tobytes() for w in want]
+            one = make_composite(lm, event, config)
+            got = (one.location, one.spatial_text, one.dynamic.values if one.dynamic else np.zeros(config.d_dyn),
+                   one.standardized)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert (one.dynamic is None) == (event is None)
+            assert encode_location(lm.point, config.d_loc).tobytes() == want[0].tobytes()
+            tokens = composite_tokens(f"{lm.name} {lm.category} {lm.description}")
+            assert embed_text(tokens, config.d_st, config.hash_seed).tobytes() == want[1].tobytes()
+            assert standardize(one.concat(config), config).tobytes() == want[3].tobytes()
+
+    @given(CONFIGS, st.lists(ROW, max_size=5), st.integers(0, 5), TEXT)
+    @settings(max_examples=60, deadline=None)
+    def test_index_gazetteer_stores_the_per_record_vectors(self, config, rows, bad_at, bad_event):
+        """With a record that has event text but no window put in at
+        `bad_at` (none past the end), MissingWindow names it and the
+        records before it, only those, are stored."""
+        pairs = landmarks_of(rows)
+        records = [lm if event is None else replace(lm, event_text=event) for lm, event in pairs]
+        bad = bad_at < len(records)
+        if bad:
+            records[bad_at] = replace(records[bad_at], window=None, event_text=bad_event)
+        store = HybridIndex(config)
+        if bad:
+            with pytest.raises(MissingWindow, match=f"'r{bad_at}'"):
+                index_gazetteer(records, store, config)
+        else:
+            assert index_gazetteer(records, store, config) == len(records)
+        kept = records[:bad_at] if bad else records
+        assert store.doc_ids() == sorted(rec.id for rec in kept)
+        matrix = _projection_matrix(config.projection_seed, config.d_text, config.concat_dim)
+        for rec in kept:
+            want = stored_vector(oracle_composite(rec, rec.event_text, config, matrix)[3])
+            assert store.get(rec.id).vector.tobytes() == want.tobytes()
+
+    def test_location_and_hash_blocks_at_the_edges(self):
+        for lat, lon in ((90.0, 180.0), (-90.0, -180.0), (-0.0, -0.0), (0.0, 0.0)):
+            p = GeoPoint(lat, lon)
+            assert encode_location(p).tobytes() == composite_location(p.lat, p.lon, CFG.d_loc).tobytes()
+        for tokens in ([], ["ß"], ["ss", "ss", "ss"], ["i̇stanbul", "İstanbul"], [""]):
+            want = composite_hash_block(tokens, CFG.d_st, CFG.hash_seed)
+            assert embed_text(tokens, CFG.d_st).tobytes() == want.tobytes()

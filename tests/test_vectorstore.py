@@ -153,6 +153,32 @@ class TestUpsert:
         with pytest.raises(InvalidVectorDim):
             store.upsert(record("a", np.ones(D + 1)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        store = HybridIndex(CFG)
+        for vec in (np.full(D, bad), np.concatenate([[bad], np.full(D - 1, 1e300)])):
+            with pytest.raises(InvalidVectorDim):
+                store.upsert(record("a", vec))
+        assert len(store) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_credibility_rejected(self, bad, tmp_path):
+        store = HybridIndex(CFG)
+        store.upsert(record("a", np.ones(D)))
+        with pytest.raises(InvalidArgument):
+            store.upsert(record("b", np.ones(D), credibility=bad))
+        store.save(tmp_path / "s.gcev")
+        assert HybridIndex.load(tmp_path / "s.gcev", CFG).doc_ids() == ["a"]
+
+    @pytest.mark.parametrize("field", ["doc_id", "source", "text"])
+    def test_lone_surrogate_rejected(self, field, tmp_path):
+        store = HybridIndex(CFG)
+        store.upsert(record("a", np.ones(D)))
+        with pytest.raises(InvalidArgument):
+            store.upsert(replace(record("b", np.ones(D)), **{field: "b\ud800"}))
+        store.save(tmp_path / "s.gcev")
+        assert HybridIndex.load(tmp_path / "s.gcev", CFG).doc_ids() == ["a"]
+
     def test_vector_stored_unit_norm_f32(self):
         store = HybridIndex(CFG)
         store.upsert(record("a", np.full(D, 3.0)))
