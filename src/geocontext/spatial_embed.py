@@ -45,10 +45,6 @@ from .geotext.tokens import Token
 
 _STRIP_CHARS = string.punctuation + "°“”‘’"
 
-# Words whose token slots `_word_slot` keeps: far more than the distinct
-# words of a typical batch, and a few MB at most in a long-running service.
-_SLOT_CACHE_SIZE = 1 << 14
-
 
 class ExternalEmbedder(Protocol):
     """Contract for substituting a learned embedder: must be deterministic
@@ -89,7 +85,9 @@ def _slot(token: str, dim: int, seed: int) -> int:
     return h % dim + 1 if h >> 63 else -(h % dim + 1)
 
 
-@lru_cache(maxsize=_SLOT_CACHE_SIZE)
+# Far more words than a typical batch holds distinct ones, and a few MB at
+# most in a long-running service.
+@lru_cache(maxsize=1 << 14)
 def _word_slot(word: str, dim: int, seed: int) -> int:
     """The signed slot of a whitespace-split word's canonical token, or 0
     when the word normalizes to nothing."""

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geocontext import DEFAULT_CONFIG
-from geocontext.errors import DuplicateId, MissingHeader, RowError
+from oracles import stored_vector
+
+from geocontext.errors import DuplicateId, MissingHeader, MissingWindow, RowError
 from geocontext.fixtures import build_landmarks, write_gazetteer_csv
 from geocontext.geomodel import GeoPoint, LandmarkRecord
 from geocontext.ingest import (
@@ -16,7 +20,7 @@ from geocontext.ingest import (
     quality_filter,
     score_relevance,
 )
-from geocontext.spatial_embed import embed_text, query_vector, text_tokens
+from geocontext.spatial_embed import embed_text, make_composite, query_vector, text_tokens
 from geocontext.vectorstore import HybridIndex, QuerySpec
 
 CFG = DEFAULT_CONFIG
@@ -212,6 +216,19 @@ class TestIndexGazetteer:
         before = store.hybrid_search(QuerySpec(text_vector=qv, k=5))
         index_gazetteer(landmarks, store, CFG)
         assert store.hybrid_search(QuerySpec(text_vector=qv, k=5)) == before
+
+    def test_more_records_than_one_batch_stop_at_missing_window(self, landmarks):
+        records = [replace(r, id=f"{r.id}-{k:02d}") for k in range(11) for r in landmarks]
+        bad = 1050
+        records[bad] = replace(records[bad], window=None, event_text="Partner Summit")
+        store = HybridIndex(CFG)
+        with pytest.raises(MissingWindow, match=records[bad].id):
+            index_gazetteer(records, store, CFG)
+        assert store.doc_ids() == sorted(r.id for r in records[:bad])
+        for r in records[:3] + records[1020:bad]:
+            got = store.get(r.id)
+            assert got.vector.tobytes() == stored_vector(make_composite(r, r.event_text, CFG).standardized).tobytes()
+            assert got.text == (f"{r.name}: {r.description}" if r.description else r.name)
 
     def test_records_carry_metadata(self, fixture_store, landmarks):
         rec = fixture_store.get("mbs")
