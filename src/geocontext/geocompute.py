@@ -288,11 +288,36 @@ def _indented_json(obj, pad: str = "") -> str:
     return json.dumps(obj)
 
 
+def _json_pieces(document):
+    """`_indented_json(document)` in pieces: one per member of a dict
+    document and per element of each of its lists. Writing them one at a
+    time holds no string of the whole text, of which building one makes
+    several copies (25 MB each for a 1000 x 1000 distance matrix)."""
+    if not (isinstance(document, dict) and document and all(isinstance(k, str) for k in document)):
+        yield _indented_json(document)
+        return
+    opening = "{\n  "
+    for key, value in sorted(document.items()):
+        yield f"{opening}{encode_basestring_ascii(key)}: "
+        if isinstance(value, (list, tuple)) and value and not set(map(type, value)) <= _NUMBER_TYPES:
+            sep = "[\n    "
+            for item in value:
+                yield sep + _indented_json(item, "    ")
+                sep = ",\n    "
+            yield "\n  ]"
+        else:
+            yield _indented_json(value, "  ")
+        opening = ",\n  "
+    yield "\n}"
+
+
 def write_result(result: ComputeResult, out_path: str | Path) -> Path:
     """Write the result document to out_path and the analysis summary next to
     it as <out_path>.summary.txt; returns the summary path."""
     out = Path(out_path)
-    out.write_text(_indented_json(result.document) + "\n", encoding="utf-8")
+    with out.open("w", encoding="utf-8") as fh:
+        fh.writelines(_json_pieces(result.document))
+        fh.write("\n")
     summary_path = out.with_name(out.name + ".summary.txt")
     summary_path.write_text(result.summary + "\n", encoding="utf-8")
     return summary_path

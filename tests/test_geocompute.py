@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -326,6 +327,19 @@ class TestWriteResultBytes:
         out = tmp_path / "doc.json"
         write_result(ComputeResult(kind="doc", payload=None, summary="", document=document), out)
         assert out.read_bytes() == reference_bytes(document)
+
+    def test_large_result_is_written_without_a_copy_of_its_text(self, tmp_path):
+        side = [(f"p{i}", -60 + 0.4 * i, -170 + 1.1 * i) for i in range(300)]
+        result = distance_matrix(pts(*side), pts(*side))
+        out = tmp_path / "matrix.json"
+        tracemalloc.start()
+        try:
+            write_result(result, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == reference_bytes(result.document)
+        assert peak < out.stat().st_size / 4
 
     def test_all_ops_match_json_dumps(self, tmp_path):
         properties = {
