@@ -93,6 +93,47 @@ class TestIngestCommand:
         assert "error_code=MissingHeader" in capsys.readouterr().err
 
 
+    def test_gazetteer_that_is_not_utf8_is_parse_error(self, workspace, tmp_path, capsys):
+        data = workspace["gazetteer"].read_bytes()
+        at = data.index(b"\n", data.index(b"\n") + 1) + 3  # third byte of the second record
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(data[:at] + b"\xff" + data[at:])
+        code = main(["ingest", "--gazetteer", str(bad), "--store", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error_code=ParseError: gazetteer")
+        assert f"(line 3, offset {at})" in err
+
+    def fixture_workspace(self, workspace, tmp_path, body: bytes):
+        """A copy of the description fixtures with the first one replaced."""
+        fixtures = tmp_path / "descriptions"
+        fixtures.mkdir()
+        for path in workspace["fixtures"].iterdir():
+            (fixtures / path.name).write_bytes(path.read_bytes())
+        first = sorted(fixtures.iterdir())[0]
+        first.write_bytes(body)
+        return fixtures, first
+
+    def test_fixture_that_is_not_utf8_is_parse_error(self, workspace, tmp_path, capsys):
+        fixtures, bad = self.fixture_workspace(workspace, tmp_path, b"source: web\nCaf\xe9 by the water, open late.\n")
+        code = main(["ingest", "--gazetteer", str(workspace["gazetteer"]), "--fixtures", str(fixtures),
+                     "--store", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error_code=ParseError: ")
+        assert bad.name in err and "(line 2, offset 15)" in err
+
+    def test_fixture_credibility_that_is_not_a_number_is_row_error(self, workspace, tmp_path, capsys):
+        fixtures, bad = self.fixture_workspace(
+            workspace, tmp_path, b"source: web\ncredibility: high\nA long enough description of the place.\n")
+        code = main(["ingest", "--gazetteer", str(workspace["gazetteer"]), "--fixtures", str(fixtures),
+                     "--store", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error_code=RowError: line 2: ")
+        assert bad.name in err and "'high'" in err
+
+
 class TestQueryCommand:
     def test_self_retrieval_citation(self, workspace, capsys):
         code = main(
@@ -140,6 +181,13 @@ class TestQueryCommand:
         )
         assert code == 2
         assert "time" in capsys.readouterr().err
+
+    def test_prompt_with_an_undecodable_byte_exits_2(self, workspace, capsys):
+        # A shell passes $'harbour \xff' as bytes that are not UTF-8, and
+        # Python decodes the stray byte to the lone surrogate U+DCFF.
+        code = main(["query", "--store", str(workspace["store"]), "--prompt", "harbour \udcff", "--json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error_code=InvalidArgument: ")
 
     def test_corrupt_store_is_data_error(self, workspace, tmp_path, capsys):
         data = bytearray(workspace["store"].read_bytes())
@@ -255,6 +303,18 @@ class TestEvalCommand:
             )
             assert code == 2, radius
             assert "error_code=InvalidArgument" in capsys.readouterr().err
+
+
+    def test_dataset_that_is_not_utf8_is_parse_error(self, workspace, capsys, tmp_path):
+        dataset = tmp_path / "latin1.jsonl"
+        dataset.write_bytes(workspace["dataset"].read_bytes() + b'{"query": "Caf\xe9", "truth_doc_ids": ["lm000"]}\n')
+        lines = workspace["dataset"].read_bytes().count(b"\n")
+        code = main(["eval", "--store", str(workspace["store"]), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error_code=ParseError: dataset")
+        assert f"(line {lines + 1}, offset " in err
 
 
 class TestConfigFile:

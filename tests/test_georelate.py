@@ -74,6 +74,46 @@ class TestHaversine:
             assert d == pytest.approx(haversine(a, b), rel=1e-12, abs=1e-6)
 
 
+class TestPositionIndependence:
+    """The store rescores a subset of its rows with `haversine_array` and
+    `np.exp`, and must get the bits the whole column gets: SIMD loops that
+    round an element differently in the vector body and in the remainder,
+    or by alignment, would change scores. Subsets of every length 1-67 at
+    varied offsets, as slices (any alignment) and as gathered copies."""
+
+    QUERIES = [GeoPoint(1.3, 103.8), GeoPoint(90.0, 0.0), GeoPoint(-90.0, 45.0), GeoPoint(0.0, 180.0),
+               GeoPoint(-12.5, -179.999999), GeoPoint(-1.3, -76.2)]
+
+    def columns(self):
+        rng = np.random.default_rng(41)
+        lat = list(rng.uniform(-90.0, 90.0, 120)) + list(rng.uniform(1.2, 1.5, 60))
+        lon = list(rng.uniform(-180.0, 180.0, 120)) + list(rng.uniform(103.6, 104.0, 60))
+        for q in self.QUERIES:  # the point itself, its antipode and points a hair from both
+            for dlat, dlon in ((0.0, 0.0), (1e-9, 0.0), (0.0, -1e-7)):
+                lat.append(max(-90.0, min(90.0, q.lat + dlat)))
+                lon.append(q.lon + dlon)
+                lat.append(max(-90.0, min(90.0, -q.lat + dlat)))
+                lon.append(q.lon - 180.0 + dlon if q.lon > 0 else q.lon + 180.0 + dlon)
+        lat += [90.0, -90.0, 89.9999999, -89.9999999, 0.0, 0.0, 45.0, -45.0]
+        lon += [0.0, 180.0, -179.9999999, 179.9999999, 180.0, -179.9999999, 179.99999999, -180.0]
+        return np.array(lat), np.array(lon)
+
+    @pytest.mark.parametrize("lambda_m", [1000.0, 0.05, 1e7])
+    def test_subsets_get_the_bits_of_the_whole(self, lambda_m):
+        lat, lon = self.columns()
+        n = lat.size
+        for q in self.QUERIES:
+            whole = haversine_array(q, lat, lon, EARTH_RADIUS_M)
+            prox = np.exp(-whole / lambda_m)
+            for length in range(1, 68):
+                for at in sorted({0, 1, 3, 7, (5 * length) % (n - length), n - length}):
+                    rows = np.arange(at, at + length)
+                    for sub_lat, sub_lon in ((lat[at : at + length], lon[at : at + length]), (lat[rows], lon[rows])):
+                        d = haversine_array(q, sub_lat, sub_lon, EARTH_RADIUS_M)
+                        assert d.tobytes() == whole[rows].tobytes(), (q, length, at)
+                        assert np.exp(-d / lambda_m).tobytes() == prox[rows].tobytes(), (q, length, at)
+
+
 class TestBearing:
     def test_due_north(self):
         assert initial_bearing(GeoPoint(0, 0), GeoPoint(1, 0)) == 0.0

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from geocontext import DEFAULT_CONFIG
 from oracles import stored_vector
 
-from geocontext.errors import DuplicateId, MissingHeader, MissingWindow, RowError
+from geocontext.errors import DuplicateId, InvalidArgument, MissingHeader, MissingWindow, ParseError, RowError
 from geocontext.fixtures import build_landmarks, write_gazetteer_csv
-from geocontext.geomodel import GeoPoint, LandmarkRecord
+from geocontext.geomodel import GeoPoint, LandmarkRecord, TimeWindow
 from geocontext.ingest import (
     DescriptionCandidate,
     FixtureFetcher,
@@ -63,6 +63,12 @@ class TestLoadGazetteer:
         with pytest.raises(RowError) as err:
             load_gazetteer(path, strict=True)
         assert err.value.line == 2
+
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "gaz.csv"
+        path.write_bytes((HEADER + "\nb1,Caf").encode() + b"\xe9" + b",1.0,2.0,cafe,,src,1.0,\n")
+        with pytest.raises(ParseError, match=r"\(line 2, offset 73\)"):
+            load_gazetteer(path)
 
     def test_missing_header(self, tmp_path):
         path = write_csv(tmp_path, "", header="wrong,columns")
@@ -196,6 +202,20 @@ class TestFixtureFetcher:
         rec = LandmarkRecord(id="lm2", name="Spot", point=GeoPoint(0, 0), category="landmark")
         assert FixtureFetcher(tmp_path).fetch(rec)[0].credibility == 0.4
 
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        (tmp_path / "lm3.txt").write_bytes(b"source: reviews\nCaf\xe9 on the corner, open late every day.\n")
+        rec = LandmarkRecord(id="lm3", name="Spot", point=GeoPoint(0, 0), category="landmark")
+        with pytest.raises(ParseError, match=r"lm3\.txt.*\(line 2, offset 19\)"):
+            FixtureFetcher(tmp_path).fetch(rec)
+
+    @pytest.mark.parametrize("value", ["high", "", "0.5 stars"])
+    def test_credibility_that_is_not_a_number_is_row_error(self, tmp_path, value):
+        (tmp_path / "lm4.txt").write_text(
+            f"source: reviews\ncredibility: {value}\nSome user supplied text about the place.\n", encoding="utf-8")
+        rec = LandmarkRecord(id="lm4", name="Spot", point=GeoPoint(0, 0), category="landmark")
+        with pytest.raises(RowError, match=r"line 2: .*lm4\.txt"):
+            FixtureFetcher(tmp_path).fetch(rec)
+
     def test_missing_file_returns_empty(self, tmp_path):
         rec = LandmarkRecord(id="nope", name="X", point=GeoPoint(0, 0), category="city")
         assert FixtureFetcher(tmp_path).fetch(rec) == []
@@ -229,6 +249,21 @@ class TestIndexGazetteer:
             got = store.get(r.id)
             assert got.vector.tobytes() == stored_vector(make_composite(r, r.event_text, CFG).standardized).tobytes()
             assert got.text == (f"{r.name}: {r.description}" if r.description else r.name)
+
+    @pytest.mark.parametrize("field", ["name", "category", "description", "event_text"])
+    def test_lone_surrogate_stops_at_the_record(self, landmarks, field):
+        # As with a missing window: the records before it are stored, and
+        # the error is typed and names the record.
+        records = [replace(r, id=f"{r.id}-{k:02d}") for k in range(11) for r in landmarks]
+        bad = 1030
+        changes = {field: "harbour \udcff"}
+        if field == "event_text" and records[bad].window is None:
+            changes["window"] = TimeWindow(0.0, 1.0)
+        records[bad] = replace(records[bad], **changes)
+        store = HybridIndex(CFG)
+        with pytest.raises(InvalidArgument, match=f"{records[bad].id}.*{field.replace('_', ' ')}"):
+            index_gazetteer(records, store, CFG)
+        assert store.doc_ids() == sorted(r.id for r in records[:bad])
 
     def test_records_carry_metadata(self, fixture_store, landmarks):
         rec = fixture_store.get("mbs")

@@ -107,6 +107,28 @@ class TestQueryEndpoint:
                 assert status == 400, (path, data, headers)
                 assert json.loads(body) == {"error": "bad JSON body"}
 
+    def test_prompt_that_is_not_a_string_is_typed_400(self, running_server):
+        # A number, a list, null and an object: a typed 400 on a connection
+        # that stays up, not an error from inside the prompt analysis.
+        for prompt in (5, ["a"], None, {"text": "Amber Basalt"}):
+            status, body = post(running_server["base"] + "/query", {"prompt": prompt, "k": 3})
+            assert status == 400, prompt
+            assert json.loads(body)["error"].startswith("InvalidArgument: "), body
+
+    def test_deeply_nested_body_is_400(self, running_server):
+        # Far deeper than the JSON decoder's recursion limit, on both POST
+        # endpoints, bare and inside an object.
+        for path in ("/query", "/compute"):
+            for data in (b"[" * 100_000, b'{"prompt": ' + b"[" * 100_000):
+                status, body = post_raw(running_server["base"] + path, data)
+                assert status == 400, path
+                assert json.loads(body) == {"error": "bad JSON body"}
+
+    def test_prompt_with_a_lone_surrogate_is_typed_400(self, running_server):
+        status, body = post_raw(running_server["base"] + "/query", b'{"prompt": "harbour \\udcff"}')
+        assert status == 400
+        assert json.loads(body)["error"].startswith("InvalidArgument: "), body
+
     def test_body_over_cap_is_400_unread(self, running_server):
         # Only two bytes follow the header: a server that tried to read the
         # declared length would block until the client timed out.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import composite_hash_block, composite_location, composite_tokens, oracle_composite, stored_vector
 
 from geocontext import DEFAULT_CONFIG, EngineConfig
-from geocontext.errors import DimensionMismatch, MissingWindow
+from geocontext.errors import DimensionMismatch, InvalidArgument, MissingWindow
 from geocontext.geomodel import GeoPoint, LandmarkRecord, TimeWindow
 from geocontext.ingest import index_gazetteer
 from geocontext.spatial_embed import (
@@ -59,6 +59,14 @@ class TestEmbedText:
     def test_seed_changes_embedding(self):
         tokens = ["alpha", "beta"]
         assert not np.array_equal(embed_text(tokens, 64, seed=1), embed_text(tokens, 64, seed=2))
+
+
+    @pytest.mark.parametrize("token", ["\udcff", "harbour\ud800", "\udc00x"])
+    def test_lone_surrogate_is_invalid_argument(self, token):
+        with pytest.raises(InvalidArgument, match="not valid UTF-8"):
+            embed_text(["harbour", token], 64)
+        with pytest.raises(InvalidArgument, match="not valid UTF-8"):
+            query_vector(["harbour", token], DEFAULT_CONFIG)
 
 
 class TestNormTokens:
