@@ -53,6 +53,16 @@ class ParseError(GeoContextError):
         super().__init__(message + suffix)
 
 
+def decode_utf8(data: bytes, what: str) -> str:
+    """`data` as UTF-8 text; ParseError, with the line and byte offset of
+    the first byte that is not UTF-8, for anything else."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not valid UTF-8", offset=exc.start,
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 class UnparseableAddress(GeoContextError):
     pass
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import DatasetParseError, EmptyInput, EmptyPrompt, LengthMismatch
+from .errors import DatasetParseError, EmptyInput, EmptyPrompt, LengthMismatch, decode_utf8
 from .geomodel import GeoPoint
 from .georelate import check_radius, haversine
 from .geotext.gazetteer import Gazetteer
@@ -166,11 +166,12 @@ class EvalReport:
 def parse_dataset(path: str | Path, strict: bool = False) -> list[EvalCase]:
     """Read a JSONL dataset of eval cases.
 
-    Bad lines raise DatasetParseError with the line number; an empty dataset
-    raises in strict mode and yields zero cases otherwise.
+    A file that is not UTF-8 raises ParseError; bad lines raise
+    DatasetParseError with the line number; an empty dataset raises in
+    strict mode and yields zero cases otherwise.
     """
     cases: list[EvalCase] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(decode_utf8(Path(path).read_bytes(), f"dataset {path}").splitlines(), 1):
         if not line.strip():
             continue
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import VocabTooSmall
-from .tokens import Token
+from .tokens import Token, check_utf8
 
 UNK_TEXT = "<unk>"
 
@@ -112,6 +112,7 @@ def subword_encode(model: SubwordModel, text: str) -> list[Token]:
     Concatenating the emitted token texts (UNK substitutions aside)
     reproduces the input byte-for-byte.
     """
+    check_utf8(text)
     alphabet = {v for v in model.vocab if len(v) == 1}
     # (symbol or None-for-UNK, byte_start, byte_end)
     seq: list[tuple[str | None, int, int]] = []

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import InvalidArgument
+
 TOKEN_KINDS = ("plain", "city", "street", "landmark", "coordinate", "number")
 
 
@@ -37,8 +39,20 @@ class Word:
     byte_end: int
 
 
+def check_utf8(text: str) -> None:
+    """InvalidArgument for text that has no UTF-8 encoding, so no byte
+    spans: one holding a lone surrogate, as Python decodes a byte of argv
+    that is not UTF-8."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InvalidArgument(f"text is not valid UTF-8: {exc.reason} at character {exc.start}") from None
+
+
 def split_words(text: str) -> list[Word]:
     """Split on whitespace, tracking char and byte offsets of each word."""
+    check_utf8(text)
     words: list[Word] = []
     char_pos = 0
     byte_pos = 0

@@ -22,11 +22,11 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import DuplicateId, MissingHeader, RowError
+from .errors import DuplicateId, MissingHeader, RowError, decode_utf8
 from .geomodel import GeoPoint, LandmarkRecord, TimeWindow
 # `perfbench/tracer.py` wraps `ingest.make_composite` by name, so it stays
 # imported here.
-from .spatial_embed import embed_landmarks, embed_text, make_composite, text_tokens
+from .spatial_embed import embed_error, embed_landmarks, embed_text, make_composite, text_tokens
 from .vectorstore import HybridIndex, VectorRecord
 
 CSV_COLUMNS = ("id", "name", "lat", "lon", "category", "description", "source", "credibility", "admin_path")
@@ -63,46 +63,55 @@ def _parse_row(row: dict[str, str]) -> LandmarkRecord:
 def load_gazetteer(path: str | Path, strict: bool = False) -> tuple[list[LandmarkRecord], list[str]]:
     """Parse a gazetteer CSV into records plus line-numbered diagnostics.
 
-    Raises MissingHeader on a bad header and DuplicateId on repeated ids in
-    either mode; row-level errors raise RowError only when strict.
+    Raises ParseError for a file that is not UTF-8, MissingHeader on a bad
+    header and DuplicateId on repeated ids in either mode; row-level errors
+    raise RowError only when strict.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingHeader("gazetteer file is empty") from None
-        if tuple(header[: len(CSV_COLUMNS)]) != CSV_COLUMNS:
-            raise MissingHeader(f"expected header starting with {','.join(CSV_COLUMNS)}")
-        extra = tuple(header[len(CSV_COLUMNS) :])
-        if extra and extra != CSV_OPTIONAL_COLUMNS[: len(extra)]:
-            raise MissingHeader(f"unexpected trailing columns {extra}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _read_gazetteer(csv.reader(fh), strict)
+    except UnicodeDecodeError:
+        # The decoder reads ahead of the rows, so find the byte on the bytes.
+        decode_utf8(Path(path).read_bytes(), f"gazetteer {path}")
+        raise
 
-        records: list[LandmarkRecord] = []
-        diagnostics: list[str] = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(CSV_COLUMNS):
-                message = f"expected >= {len(CSV_COLUMNS)} columns, got {len(row)}"
-                if strict:
-                    raise RowError(message, line=lineno)
-                diagnostics.append(f"line {lineno}: {message}")
-                continue
-            mapping = dict(zip(CSV_COLUMNS + CSV_OPTIONAL_COLUMNS, row))
-            if mapping["id"] in seen:
-                raise DuplicateId(f"duplicate gazetteer id {mapping['id']!r} at line {lineno}")
-            try:
-                record = _parse_row(mapping)
-            except Exception as exc:
-                if strict:
-                    raise RowError(str(exc), line=lineno) from exc
-                diagnostics.append(f"line {lineno}: {exc}")
-                continue
-            seen.add(record.id)
-            records.append(record)
-        return records, diagnostics
+
+def _read_gazetteer(reader, strict: bool) -> tuple[list[LandmarkRecord], list[str]]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingHeader("gazetteer file is empty") from None
+    if tuple(header[: len(CSV_COLUMNS)]) != CSV_COLUMNS:
+        raise MissingHeader(f"expected header starting with {','.join(CSV_COLUMNS)}")
+    extra = tuple(header[len(CSV_COLUMNS) :])
+    if extra and extra != CSV_OPTIONAL_COLUMNS[: len(extra)]:
+        raise MissingHeader(f"unexpected trailing columns {extra}")
+
+    records: list[LandmarkRecord] = []
+    diagnostics: list[str] = []
+    seen: set[str] = set()
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < len(CSV_COLUMNS):
+            message = f"expected >= {len(CSV_COLUMNS)} columns, got {len(row)}"
+            if strict:
+                raise RowError(message, line=lineno)
+            diagnostics.append(f"line {lineno}: {message}")
+            continue
+        mapping = dict(zip(CSV_COLUMNS + CSV_OPTIONAL_COLUMNS, row))
+        if mapping["id"] in seen:
+            raise DuplicateId(f"duplicate gazetteer id {mapping['id']!r} at line {lineno}")
+        try:
+            record = _parse_row(mapping)
+        except Exception as exc:
+            if strict:
+                raise RowError(str(exc), line=lineno) from exc
+            diagnostics.append(f"line {lineno}: {exc}")
+            continue
+        seen.add(record.id)
+        records.append(record)
+    return records, diagnostics
 
 
 def score_relevance(
@@ -136,8 +145,9 @@ class FixtureFetcher:
     """Reads descriptions from {fixtures_dir}/{landmark_id}.txt.
 
     First line must be "source: <label>"; an optional second header line
-    "credibility: <x>" overrides the default of 1.0. The remainder is the
-    description text. Performs no network access.
+    "credibility: <x>" overrides the default of 1.0 (RowError if x is not a
+    number). The remainder is the description text. A file that is not
+    UTF-8 raises ParseError. Performs no network access.
     """
 
     def __init__(self, fixtures_dir: str | Path):
@@ -147,14 +157,18 @@ class FixtureFetcher:
         path = self.fixtures_dir / f"{landmark.id}.txt"
         if not path.exists():
             return []
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = decode_utf8(path.read_bytes(), f"description fixture {path}").splitlines()
         if not lines or not lines[0].startswith("source:"):
             return []
         source = lines[0].partition(":")[2].strip()
         credibility = 1.0
         body_start = 1
         if len(lines) > 1 and lines[1].startswith("credibility:"):
-            credibility = float(lines[1].partition(":")[2].strip())
+            raw = lines[1].partition(":")[2].strip()
+            try:
+                credibility = float(raw)
+            except ValueError:
+                raise RowError(f"{path}: credibility {raw!r} is not a number", line=2) from None
             body_start = 2
         text = "\n".join(lines[body_start:]).strip()
         if not text:
@@ -224,11 +238,12 @@ def _index_records(records: Sequence[LandmarkRecord], texts: Sequence[str], stor
     each batch under its ids, in order, with no read in between (a read
     folds the whole store).
 
-    A record with event text but no time window raises MissingWindow after
-    the records before it are upserted, as when each record is embedded and
-    upserted in turn.
+    A record that cannot be embedded (event text but no time window, or
+    text that is not valid UTF-8) raises its `embed_error` after the records
+    before it are upserted, as when each record is embedded and upserted in
+    turn.
     """
-    stop = next((i for i, rec in enumerate(records) if rec.event_text is not None and rec.window is None),
+    stop = next((i for i, rec in enumerate(records) if embed_error(rec, rec.event_text) is not None),
                 len(records))
     for at in range(0, stop, _EMBED_ROWS):
         batch = records[at : min(at + _EMBED_ROWS, stop)]
@@ -246,7 +261,7 @@ def _index_records(records: Sequence[LandmarkRecord], texts: Sequence[str], stor
                 )
             )
     if stop < len(records):
-        make_composite(records[stop], records[stop].event_text, config)  # raises MissingWindow
+        make_composite(records[stop], records[stop].event_text, config)  # raises its embed_error
 
 
 def index_gazetteer(

@@ -80,7 +80,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.loads(self.rfile.read(length).decode("utf-8")) if length else {}
             if not isinstance(body, dict):
                 raise ValueError("body is not a JSON object")
-        except ValueError:  # also UnicodeDecodeError
+        except (ValueError, RecursionError):  # also UnicodeDecodeError; RecursionError: nested too deep
             self._send(400, {"error": "bad JSON body"})
             return
         try:
@@ -88,10 +88,13 @@ class _Handler(BaseHTTPRequestHandler):
                 k = int(body.get("k", 5))
                 if k > MAX_K:
                     raise InvalidArgument(f"k must be <= {MAX_K}, got {k}")
+                prompt = body.get("prompt", "")
+                if not isinstance(prompt, str):
+                    raise InvalidArgument(f"prompt must be a string, got {type(prompt).__name__}")
                 payload = answer_prompt(
                     self.server.store,
                     self.server.gazetteer,
-                    body.get("prompt", ""),
+                    prompt,
                     k,
                     self.server.config,
                     time=float(body["time"]) if body.get("time") is not None else None,

@@ -39,7 +39,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import DimensionMismatch, MissingWindow
+from .errors import DimensionMismatch, GeoContextError, InvalidArgument, MissingWindow
 from .geomodel import GeoPoint, LandmarkRecord, TimeWindow
 from .geotext.tokens import Token
 
@@ -73,9 +73,14 @@ def text_tokens(text: str) -> list[str]:
 
 
 def _hash64(token: str, seed: int) -> int:
+    """The keyed 64-bit hash of a token's UTF-8 bytes; InvalidArgument for a
+    token that has none (a lone surrogate, as argv decodes a stray byte)."""
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
+    try:
+        data = token.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidArgument(f"token {token!r} is not valid UTF-8 text: {exc.reason}") from None
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8, key=key).digest(), "little")
 
 
 def _slot(token: str, dim: int, seed: int) -> int:
@@ -266,6 +271,26 @@ def _block_rows(word_rows: Sequence[list[str] | None], dim: int, seed: int,
     return out
 
 
+def embed_error(landmark: LandmarkRecord, event_text: str | None) -> GeoContextError | None:
+    """Why `embed_landmarks` cannot embed a landmark with this event text,
+    or None: MissingWindow for event text without a time window,
+    InvalidArgument for a name, category, description or event text that
+    is not valid UTF-8 (a lone surrogate), which could not be hashed."""
+    if event_text is not None and landmark.window is None:
+        return MissingWindow(f"landmark {landmark.id!r} has event text but no time window")
+    if landmark.name.isascii() and landmark.category.isascii() and landmark.description.isascii() and (
+            event_text is None or event_text.isascii()):
+        return None
+    for what, text in (("name", landmark.name), ("category", landmark.category),
+                       ("description", landmark.description), ("event text", event_text or "")):
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                return InvalidArgument(f"landmark {landmark.id!r}: {what} is not valid UTF-8 text")
+    return None
+
+
 def embed_landmarks(
     landmarks: Sequence[LandmarkRecord],
     event_texts: Sequence[str | None],
@@ -277,12 +302,12 @@ def embed_landmarks(
     and standardized blocks, in that order. No row depends on another, so
     a landmark gets the same bits in any batch, alone included.
 
-    Raises MissingWindow for the first landmark with event text but no time
-    window, before embedding any.
+    Raises the `embed_error` of the first landmark that has one, before
+    embedding any.
     """
     for landmark, event_text in zip(landmarks, event_texts, strict=True):
-        if event_text is not None and landmark.window is None:
-            raise MissingWindow(f"landmark {landmark.id!r} has event text but no time window")
+        if (error := embed_error(landmark, event_text)) is not None:
+            raise error
     n = len(landmarks)
     lat = np.fromiter((landmark.point.lat for landmark in landmarks), dtype=np.float64, count=n)
     lon = np.fromiter((landmark.point.lon for landmark in landmarks), dtype=np.float64, count=n)

@@ -252,8 +252,10 @@ class HybridIndex:
         if vec.shape != (self.config.d_text,):
             raise InvalidVectorDim(f"vector length {vec.shape[0]} != d_text {self.config.d_text}")
         # The squared norm as `np.linalg.norm` takes it; it is finite unless
-        # a component is not finite or the squares overflow.
-        sq = float(vec.dot(vec))
+        # a component is not finite or the squares overflow (both handled
+        # below, so the overflow warning is noise).
+        with np.errstate(over="ignore"):
+            sq = float(vec.dot(vec))
         if not math.isfinite(sq) and not np.all(np.isfinite(vec)):
             raise InvalidVectorDim("vector has non-finite components")
         if not math.isfinite(record.credibility):
