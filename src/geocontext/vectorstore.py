@@ -52,6 +52,7 @@ import threading
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,14 @@ _WIDEN_ROWS = 256
 # Every part of a version-2 file, the header first, fills a whole number of
 # these many bytes, so every column starts aligned.
 _ALIGN = 64
+
+# The spatial filter (see the comment above `_may_rank`): its margin on the
+# central angle in radians, relative and absolute, and the angle beyond which
+# (within 0.14 rad, about 900 km, of the query's antipode) a row's distance
+# is always computed exactly.
+_ARC_MARGIN = 2.0**-36
+_FAR = 3.0
+_FAR_CHORD2 = (2.0 * math.sin(_FAR / 2.0)) ** 2
 
 GEOHASH_BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
 
@@ -185,6 +194,12 @@ class _Columns:
     credibility: np.ndarray
     source: list[str]
     text: list[str]
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """The points as unit vectors, a 3 x N float64 array of x, y and z
+        columns, derived on first use (no file holds them)."""
+        return _unit_vectors(self.lat, self.lon)
 
     @classmethod
     def empty(cls, dim: int) -> "_Columns":
@@ -361,14 +376,18 @@ class HybridIndex:
 
     def _scan(self, q: QuerySpec) -> list[ScoredHit]:
         """The q.k best eligible records. The credibility and radius masks
-        come first. Then `_may_rank` keeps the eligible rows whose float32
-        approximate score is within its error bound of the k-th best, and
-        only those are scored exactly: text similarity is `np.vecdot` on the
-        rows widened to float64, one `np.dot` per row, so a row scores the
-        same bits whichever rows are scored with it (a BLAS matrix-vector
-        product rounds equal rows differently depending on their position,
-        which would break ties). Rows are in ascending doc_id order and
-        `_top_k` ranks like a stable sort, so ties break on doc_id."""
+        come first; a located query decides the radius, and approximates the
+        spatial term, from the chord to each row (`_locate`). Then
+        `_may_rank` keeps the eligible rows whose approximate score is
+        within its error bound of the k-th best, and only those are scored
+        exactly: text similarity is `np.vecdot` on the rows widened to
+        float64, one `np.dot` per row, so a row scores the same bits
+        whichever rows are scored with it (a BLAS matrix-vector product
+        rounds equal rows differently depending on their position, which
+        would break ties); spatial proximity is `haversine_array` and
+        `np.exp`, which give an element the same bits in any subset. Rows
+        are in ascending doc_id order and `_top_k` ranks like a stable sort,
+        so ties break on doc_id."""
         qv = np.asarray(q.text_vector, dtype=np.float64).reshape(-1)
         if qv.shape != (self.config.d_text,):
             raise InvalidVectorDim(f"query length {qv.shape[0]} != d_text {self.config.d_text}")
@@ -379,21 +398,21 @@ class HybridIndex:
             qv = qv / norm
         cols = self._snapshot()
         eligible = cols.credibility >= q.min_credibility
-        if q.point is not None:
-            d = haversine_array(q.point, cols.lat, cols.lon, self.config.earth_radius_m)
-            if q.radius_filter is not None:
-                eligible &= cols.has_point & (d <= q.radius_filter)
-        rows = np.flatnonzero(eligible)
         # A query without a point or a time gives every row 1.0 in that term
         # (a view: no array is allocated for it).
-        spatial = temporal = np.broadcast_to(1.0, rows.shape)
-        if q.point is not None:
-            spatial = np.where(cols.has_point[rows], np.exp(-d[rows] / self.config.lambda_m), 0.0)
+        if q.point is None:
+            rows = np.flatnonzero(eligible)
+            spatial, spatial_err = np.broadcast_to(1.0, rows.shape), 0.0
+        else:
+            rows, spatial, spatial_err = _locate(cols, q, eligible, self.config)
+        temporal = np.broadcast_to(1.0, rows.shape)
         if q.time is not None:
             temporal = ((cols.start[rows] <= q.time) & (q.time <= cols.end[rows])).astype(np.float64)
         w_t, w_s, w_d = q.weights
-        keep = _may_rank(cols, rows, qv, q.weights, spatial, temporal, q.k)
+        keep = _may_rank(cols, rows, qv, q.weights, spatial, spatial_err, temporal, q.k)
         rows, spatial, temporal = rows[keep], spatial[keep], temporal[keep]
+        if q.point is not None:
+            spatial = _proximity(cols, q.point, rows, self.config)[0]
         text = _exact_dots(cols.matrix, rows, qv)
         combined = w_t * text + w_s * spatial + w_d * temporal
         return [
@@ -656,6 +675,116 @@ def _read_strings(data: bytes, table_at: int, blob_at: int, count: int, nbytes: 
     return [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
 
 
+def _unit_vectors(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """(x, y, z) of each point on the unit sphere, a 3 x n float64 array;
+    NaN for a longitude outside [-180, 180], so the spatial filter leaves
+    such a row to the exact path."""
+    phi = np.radians(lat)
+    lam = np.radians(np.where(np.abs(lon) <= 180.0, lon, np.nan))
+    cos_phi = np.cos(phi)
+    return np.stack((cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)))
+
+
+def _proximity(cols: _Columns, point: GeoPoint, rows: np.ndarray, config: EngineConfig):
+    """The exact spatial term of `rows` for a located query, exp(-d/lambda)
+    (0 for a row without a point), and the distances d."""
+    d = haversine_array(point, cols.lat[rows], cols.lon[rows], config.earth_radius_m)
+    return np.where(cols.has_point[rows], np.exp(-d / config.lambda_m), 0.0), d
+
+
+def _locate(cols: _Columns, q: QuerySpec, eligible: np.ndarray, config: EngineConfig):
+    """The eligible rows of a located query, after its radius, with an
+    approximate spatial term for each and a bound on how far it is from the
+    exact one (see the comment above `_may_rank`). The squared chord from
+    the query point to every row decides the radius wherever the margin
+    allows and gives the approximation; rows in the radius's margin band,
+    rows near the antipode and rows without a usable point get
+    `_proximity`."""
+    scale = config.earth_radius_m / config.lambda_m
+    p = _unit_vectors(np.array([q.point.lat]), np.array([q.point.lon]))
+    x, y, z = cols.unit
+    chord2 = (x - p[0]) ** 2 + (y - p[1]) ** 2 + (z - p[2]) ** 2
+    exact_above = _FAR_CHORD2
+    if q.radius_filter is not None:
+        inside, outside = _radius_cuts(q.radius_filter / config.earth_radius_m)
+        eligible &= cols.has_point & ~(chord2 > outside)
+        exact_above = min(exact_above, inside)
+    rows = np.flatnonzero(eligible)
+    chord2 = chord2[rows]
+    arc = np.arcsin(np.sqrt(np.minimum(chord2, _FAR_CHORD2)) * 0.5)
+    spatial = np.where(cols.has_point[rows], np.exp(arc * (-2.0 * scale)), 0.0)
+    exact = np.flatnonzero(~(chord2 <= exact_above))
+    if exact.size:
+        spatial[exact], d = _proximity(cols, q.point, rows[exact], config)
+        if q.radius_filter is not None:
+            keep = np.ones(rows.size, dtype=bool)
+            keep[exact[d > q.radius_filter]] = False
+            rows, spatial = rows[keep], spatial[keep]
+    if _ARC_MARGIN * (1.0 + math.pi) * scale <= 0.5:
+        spatial_err = 2.0 * _ARC_MARGIN * (scale + 1.0 / math.e) + 2.0**-50
+    else:
+        spatial_err = 1.0
+    return rows, spatial, spatial_err
+
+
+def _radius_cuts(t: float) -> tuple[float, float]:
+    """For a radius of t radians, the squared chords at and below which a
+    row is surely inside it (-1 for none) and above which it is surely
+    outside (inf for none)."""
+    m = _ARC_MARGIN * (1.0 + t)
+    inside = (2.0 * math.sin(min(t - m, math.pi) / 2.0)) ** 2 if t - m > 0.0 else -1.0
+    outside = (2.0 * math.sin((t + m) / 2.0)) ** 2 if t + m < _FAR - 0.1 else math.inf
+    return inside, outside
+
+
+# Why the spatial filter of `_locate` drops no row that passes the radius or
+# can rank. Let u = 2^-53 and theta the central angle between a row's stored
+# (lat, lon) and the query point, and assume that np.sin, np.cos, np.arcsin,
+# np.arctan2 and np.exp are within 4 ulps. First order in u throughout:
+# - The chord. `np.radians` is within 2u relative, so phi is within pi u and
+#   lambda (|lon| <= 180) within 2 pi u, and each of x, y, z within
+#   3 pi u + 9u < 19u. Two points differ within 66u, so l = sqrt(c) is within
+#   66u + 3u l of 2 sin(theta / 2). theta_c = 2 asin(l / 2) moves 1 /
+#   cos(theta / 2) per unit of l, at most 14.2 below `_FAR` = 3 rad: theta_c
+#   is within 1,100u of theta.
+# - `haversine_array`. Its angles are within 3u relative; half of dlambda
+#   can be near pi (longitudes near +-180), where sin loses relative but not
+#   absolute accuracy, and cos phi near a pole likewise. Then h =
+#   sin^2(dphi/2) + cos phi1 cos phi2 sin^2(dlambda/2) is within 42u h +
+#   40u sqrt(h) (the cos phi error is bounded through sin^2(dphi/2) <= h),
+#   and theta = 2 asin(sqrt(h)) moves 1 / (sin(theta/2) cos(theta/2)) per
+#   unit of h, so theta_h = d / R is within 82u / cos(theta / 2) + 10u theta
+#   < 1,200u (1 + theta) below `_FAR`.
+# So |theta_c - theta_h| < 2^-41 (1 + theta) below `_FAR`. Against a
+# 50-digit mpmath reference the most seen was 8u (1 + theta) for
+# haversine_array and 5u (1 + theta) for the chord, over random, nearly
+# coincident, +-180 degree, polar and near-antipodal pairs. `_ARC_MARGIN` =
+# 2^-36 is 32 times the derived bound, which also leaves the rounding of the
+# cuts (below 2^-48 theta) covered.
+#
+# A relative margin alone does not do. A pair a few cm apart across +-180
+# degrees gets a haversine 1e-4 off relative (1e-15 rad absolute). Near the
+# antipode h is within 82u of 1, and theta = pi - 2 acos(sqrt(h)) moves up to
+# 2 sqrt(82u) < 2^-22 rad, 0.2 m (1e-8 relative); the chord has the same
+# square-root loss. So a row with c above `_FAR_CHORD2` always gets
+# haversine_array. It is never inside a radius the chord decides: a radius
+# within 0.1 rad of `_FAR`, far above those 2^-22, drops no row by the chord.
+#
+# The radius, t = r / R and m = `_ARC_MARGIN` (1 + t): a row below `_FAR`
+# with theta_c > t + m has d > r, one with theta_c <= t - m has d <= r, so c
+# is compared with 4 sin^2((t -+ m) / 2); rows between get haversine_array
+# and the exact d <= r, as every row did before.
+#
+# The spatial term s = exp(-d / lambda), approximated by exp(-(2R / lambda)
+# asin(sqrt(c) / 2)). The exponents differ by at most D = m R / lambda (1 +
+# theta) plus a few u of themselves, so the terms by at most s D e^D. As
+# x e^-x <= 1/e, s D <= `_ARC_MARGIN` (R / lambda + 1/e) (and s times the
+# few u of the exponent is below u); while `_ARC_MARGIN` (1 + pi) R / lambda
+# <= 1/2, e^D < 2, so spatial_err = 2 `_ARC_MARGIN` (R / lambda + 1/e) +
+# 2^-50 (the two exps) bounds |s_approx - s|; otherwise spatial_err = 1
+# filters nothing. Rows beyond `_FAR`, in the radius band or without a point
+# get the exact term in the approximation.
+#
 # Why `_may_rank` drops no row that ranks or ties. Let u = 2^-24 (float32
 # unit roundoff), R = `_Columns.norm_max` and Q = ||q||. A row r's
 # approximate text score a = fl32(r . fl32(q)) sums d float32 products in
@@ -669,21 +798,25 @@ def _read_strings(data: bytes, table_at: int, blob_at: int, count: int, nbytes: 
 # The rest is float64 (unit roundoff 2^-53). The exact score t of a row is
 # within gamma_d R Q of r.q, a combined score w_t x + w_s s + w_d p carries
 # at most gamma_3 (w_t |x| + w_s + w_d) of rounding, and a row's exact and
-# approximate combined scores C and A share s and p. With W = max(1, RQ + B),
-#     |C - A| <= w_t B + e,   e = (d + 14) 2^-53 W.
+# approximate combined scores C and A share p, and their spatial terms differ
+# by at most S = `spatial_err` (0 without a query point, where both are 1).
+# With W = max(1, RQ + B),
+#     |C - A| <= w_t B + w_s S + e,   e = (d + 14) 2^-53 W.
 # Let c_k be the k-th best A. The k rows with A >= c_k have C >= c_k - w_t B
-# - e. A dropped row has A < c_k - 2 w_t B - slack, so C < c_k - w_t B - e
-# whenever slack >= 2e plus the rounding of R, Q, B and the cut, and plus
+# - w_s S - e. A dropped row has A < c_k - 2 (w_t B + w_s S) - slack, so C <
+# c_k - w_t B - w_s S - e whenever slack >= 2e plus the rounding of R, Q, B,
+# S and the cut, and plus
 # float32 underflow (6d 2^-126 W even with flush-to-zero). slack =
 # (d + 16) 2^-50 W is (8d + 128) 2^-53 W, several times that. A dropped row
 # is thus strictly below k kept rows: it can neither rank nor tie. Rows
 # with R Q >= 2^100 could overflow float32, so the filter then keeps every
 # row, as it does for d > 4094 and when no more than k rows are eligible.
-def _may_rank(cols: _Columns, rows, qv, weights, spatial, temporal, k: int) -> np.ndarray:
+def _may_rank(cols: _Columns, rows, qv, weights, spatial, spatial_err: float, temporal, k: int) -> np.ndarray:
     """Positions in `rows` of the rows that can rank in or tie the top k,
-    found from float32 text scores: `cols.matrix @ fl32(q)` over the whole
-    store, or over a copy of the eligible rows when they are at most
-    `_GATHER_SHARE` of it."""
+    found from float32 text scores, `cols.matrix @ fl32(q)` over the whole
+    store or over a copy of the eligible rows when they are at most
+    `_GATHER_SHARE` of it, and spatial terms within `spatial_err` of the
+    exact ones."""
     dim, q_norm = qv.size, float(np.linalg.norm(qv))
     if rows.size <= k or dim > 4094 or not cols.norm_max * q_norm < 2.0**100:
         return np.arange(rows.size)
@@ -697,7 +830,7 @@ def _may_rank(cols: _Columns, rows, qv, weights, spatial, temporal, k: int) -> n
     c_k = np.partition(approx, rows.size - k)[rows.size - k]
     B = (dim + 2) * 2.0**-24 * cols.norm_max * q_norm
     slack = (dim + 16) * 2.0**-50 * max(1.0, cols.norm_max * q_norm + B)
-    return np.flatnonzero(approx >= c_k - 2.0 * w_t * B - slack)
+    return np.flatnonzero(approx >= c_k - 2.0 * (w_t * B + w_s * spatial_err) - slack)
 
 
 def _exact_dots(matrix: np.ndarray, rows: np.ndarray, qv: np.ndarray) -> np.ndarray:

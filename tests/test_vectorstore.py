@@ -1,6 +1,8 @@
 import math
+import struct
 import tempfile
 import tracemalloc
+import zlib
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -11,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
-from oracles import geohash_by_quantization, oracle_hybrid, oracle_knn
+from oracles import geohash_by_quantization, haversine_contract, oracle_hybrid, oracle_knn
 from storefiles import write_v1
 
-from geocontext import DEFAULT_CONFIG
+from geocontext import DEFAULT_CONFIG, EngineConfig
 from geocontext import vectorstore
 from geocontext.errors import CorruptFile, InvalidArgument, InvalidVectorDim, InvalidWeights, VersionMismatch
 from geocontext.geomodel import GeoPoint, TimeWindow
@@ -22,6 +24,7 @@ from geocontext.georelate import haversine_array
 from geocontext.vectorstore import (
     HybridIndex,
     QuerySpec,
+    ScoredHit,
     VectorRecord,
     geohash_encode,
 )
@@ -1090,3 +1093,188 @@ class TestFloat32Filter:
         assert cols.matrix.dtype == np.float32
         assert build_peak < 0.75 * float64_matrix, build_peak
         assert scan_peak < 0.25 * float64_matrix, scan_peak
+
+
+def unfiltered_scan(store, q: QuerySpec) -> list:
+    """`_scan` without its filters: every row scored as `_scan` scores the
+    rows it keeps (`haversine_array` over the whole column, the radius as
+    d <= r), ranked by a stable sort on descending combined score over the
+    eligible rows in doc_id order."""
+    cols, cfg = store._snapshot(), store.config
+    qv = np.asarray(q.text_vector, dtype=np.float64)
+    if np.linalg.norm(qv) > 0.0:
+        qv = qv / np.linalg.norm(qv)
+    eligible = cols.credibility >= q.min_credibility
+    spatial = temporal = np.ones(len(cols.ids))
+    if q.point is not None:
+        d = haversine_array(q.point, cols.lat, cols.lon, cfg.earth_radius_m)
+        spatial = np.where(cols.has_point, np.exp(-d / cfg.lambda_m), 0.0)
+        if q.radius_filter is not None:
+            eligible &= cols.has_point & (d <= q.radius_filter)
+    if q.time is not None:
+        temporal = ((cols.start <= q.time) & (q.time <= cols.end)).astype(np.float64)
+    text = np.vecdot(cols.matrix.astype(np.float64), qv)
+    w_t, w_s, w_d = q.weights
+    combined = w_t * text + w_s * spatial + w_d * temporal
+    rows = np.flatnonzero(eligible)
+    best = rows[np.argsort(-combined[rows], kind="stable")][: q.k]
+    return [ScoredHit(cols.ids[i], float(combined[i]), float(text[i]), float(spatial[i]), float(temporal[i]))
+            for i in best]
+
+
+def oracle_applies(meta, q: QuerySpec, config) -> bool:
+    """Whether `oracle_hybrid` can judge q: its scalar haversine is not
+    clamped, so it fails where h rounds above 1 near the antipode, and it
+    rounds in another order, so a row exactly at the radius may fall on the
+    other side of it than `haversine_array` puts it."""
+    for rec in meta.values():
+        if q.point is None or rec["point"] is None:
+            continue
+        try:
+            d = haversine_contract(q.point, rec["point"], config.earth_radius_m)
+        except ValueError:
+            return False
+        if q.radius_filter is not None:
+            p = rec["point"]
+            exact = haversine_array(q.point, np.array([p.lat]), np.array([p.lon]), config.earth_radius_m)[0]
+            if (d <= q.radius_filter) != (exact <= q.radius_filter):
+                return False
+    return True
+
+
+CENTRES = [HERE, GeoPoint(0.0, 180.0), GeoPoint(0.0, -179.99999999), GeoPoint(89.9999999, 10.0),
+           GeoPoint(-90.0, 0.0), GeoPoint(-33.87, 151.21), GeoPoint(0.0, 0.0)]
+
+
+def stress_points(centre: GeoPoint, rng) -> list:
+    """Points that stress the spatial filter around `centre`: the centre;
+    pairs at one distance on opposite bearings (east and west are exact
+    ties); the antipode and points 1e-9 to 8 degrees from it; points just
+    either side of +-180 degrees and at or near both poles; random points."""
+    def clamp(lat):
+        return max(-90.0, min(90.0, lat))
+
+    lat, lon = centre.lat, centre.lon
+    pts = [(lat, lon)]
+    for delta in (2.0**-30, 2.0**-20, 2.0**-12, 2.0**-6, 1.0):
+        pts += [(lat, lon + delta), (lat, lon - delta), (clamp(lat + delta), lon), (clamp(lat - delta), lon)]
+    for eps in (0.0, 1e-9, 1e-6, 1e-3, 0.05, 0.2, 8.0):
+        pts += [(clamp(-lat + eps), lon + 180.0), (-lat, lon + 180.0 - eps)]
+    for eps in (1e-7, 1e-3):
+        pts += [(lat, 180.0 - eps), (lat, -180.0 + eps)]
+    pts += [(90.0, 0.0), (90.0, 123.0), (-90.0, -45.0), (89.9999999, 17.0), (-89.9999999, -170.0)]
+    pts += [(float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180))) for _ in range(5)]
+    return [GeoPoint(a, b) for a, b in pts]
+
+
+class TestSpatialFilter:
+    """A located query decides the radius and approximates the spatial
+    term from the chord to each row, and runs `haversine_array` and `exp`
+    only on rows near the radius, near the antipode, or kept by
+    `_may_rank`. The hits must equal the unfiltered scan field for field
+    and rank like the oracle, on spatial near-ties, at the poles, across
+    +-180 degrees, near the antipode and exactly at the radius."""
+
+    RADII = ("at", "below", "above", "zero", "half-circumference", "far-cut")
+
+    def radius(self, kind, centre, point, config):
+        d = float(haversine_array(centre, np.array([point.lat]), np.array([point.lon]), config.earth_radius_m)[0])
+        half = math.pi * config.earth_radius_m
+        return {
+            "at": d, "below": math.nextafter(d, 0.0), "above": math.nextafter(d, math.inf), "zero": 0.0,
+            "half-circumference": half * (1.0 - 1e-12), "far-cut": (vectorstore._FAR - 0.1) * config.earth_radius_m,
+        }[kind]
+
+    @pytest.mark.parametrize("centre", CENTRES, ids=str)
+    def test_rows_at_exactly_the_radius(self, centre):
+        # Every row as the boundary: its own distance and the floats either
+        # side of it, k large enough that only the radius filters.
+        rng = np.random.default_rng(42)
+        points = stress_points(centre, rng)
+        store = HybridIndex(CFG)
+        v = unit(rng)
+        for i, p in enumerate(points):
+            store.upsert(record(f"p{i:03d}", v, point=p))
+        for p in points:
+            for kind in ("at", "below", "above"):
+                spec = QuerySpec(text_vector=v, point=centre, k=len(points), radius_filter=self.radius(kind, centre, p, CFG))
+                assert store.hybrid_search(spec) == unfiltered_scan(store, spec), (p, kind)
+        for kind in ("zero", "half-circumference", "far-cut"):
+            spec = QuerySpec(text_vector=v, point=centre, k=len(points), radius_filter=self.radius(kind, centre, centre, CFG))
+            assert store.hybrid_search(spec) == unfiltered_scan(store, spec), kind
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_property_equals_unfiltered_scan_and_oracle(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        centre = data.draw(st.sampled_from(CENTRES))
+        pool = stress_points(centre, rng)
+        n = data.draw(st.integers(1, 40))
+        points = [pool[int(i)] for i in rng.integers(len(pool), size=n)]
+        # 1e7 m keeps far rows' proximity above 0; 0.05 m makes cm count.
+        config = EngineConfig(lambda_m=data.draw(st.sampled_from([CFG.lambda_m, 1e7, 0.05])))
+        bases = [unit(rng) for _ in range(2)]
+        store = HybridIndex(config)
+        for i, p in enumerate(points):
+            store.upsert(record(
+                f"doc{i:02d}", bases[int(rng.integers(2))],
+                point=None if rng.random() < 0.1 else p,
+                window=TimeWindow(0.0, 10.0) if rng.random() < 0.5 else None,
+                credibility=float(rng.choice([0.2, 1.0])),
+            ))
+        spec = QuerySpec(
+            text_vector=data.draw(st.sampled_from([bases[0], unit(rng)])),
+            point=centre,
+            time=data.draw(st.sampled_from([None, 5.0])),
+            k=data.draw(st.integers(1, n + 2)),
+            weights=data.draw(st.sampled_from(
+                [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0), (0.0, 0.5, 0.5), CFG.weights])),
+            min_credibility=data.draw(st.sampled_from([0.0, 0.5])),
+        )
+        kind = data.draw(st.sampled_from((None,) + self.RADII))
+        if kind is not None:
+            boundary = points[data.draw(st.integers(0, n - 1))]
+            spec = replace(spec, radius_filter=self.radius(kind, centre, boundary, config))
+        hits = store.hybrid_search(spec)
+        assert hits == unfiltered_scan(store, spec)
+        meta = meta_of(store)
+        if oracle_applies(meta, spec, config):
+            assert [h.doc_id for h in hits] == oracle_hybrid(meta, spec, config)
+
+    def test_longitudes_outside_the_canonical_range(self, tmp_path):
+        # Version-2 files hold any finite longitude; such a row takes the
+        # exact path and scores as the unfiltered scan scores it.
+        rng = np.random.default_rng(43)
+        store = HybridIndex(CFG)
+        v = unit(rng)
+        for i in range(30):
+            store.upsert(record(f"doc{i:02d}", v, point=GeoPoint(1.3 + 0.001 * i, 103.8)))
+        path = tmp_path / "lon.gcev"
+        store.save(path)
+        data = bytearray(path.read_bytes())
+        string_bytes = [len("".join(column).encode()) for column in (store.doc_ids(), ["test"] * 30,
+                                                                      [f"text for doc{i:02d}" for i in range(30)])]
+        lon_at = vectorstore._v2_layout(D, 30, string_bytes)[0][3]
+        lon = np.frombuffer(data, "<f8", 30, lon_at).copy()
+        lon[::3] += 360.0
+        lon[1::3] -= 720.0
+        data[lon_at : lon_at + 240] = lon.tobytes()
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+        path.write_bytes(bytes(data))
+        loaded = HybridIndex.load(path, CFG)
+        for spec in (QuerySpec(text_vector=v, point=HERE, k=5), QuerySpec(text_vector=v, point=HERE, k=30, radius_filter=1500.0)):
+            assert loaded.hybrid_search(spec) == unfiltered_scan(loaded, spec)
+        assert [h.doc_id for h in loaded.hybrid_search(spec)] == [h.doc_id for h in store.hybrid_search(spec)]
+
+    def test_exact_distances_only_near_the_radius_or_the_top(self, monkeypatch):
+        # The point of the filter: `haversine_array` runs on the rows that
+        # can pass the radius or rank, not on the store.
+        store, _, rng = build_random_store(2000, seed=44)
+        sizes = []
+        exact = vectorstore.haversine_array
+        monkeypatch.setattr(vectorstore, "haversine_array", lambda p, lat, lon, r: sizes.append(lat.size) or exact(p, lat, lon, r))
+        centre = GeoPoint(10.0, 20.0)
+        store.hybrid_search(QuerySpec(text_vector=unit(rng), point=centre, k=10))
+        store.hybrid_search(QuerySpec(text_vector=unit(rng), point=centre, time=5e8, k=10))
+        store.hybrid_search(QuerySpec(text_vector=unit(rng), point=centre, k=10, radius_filter=3_000_000.0))
+        assert sizes and all(size < 100 for size in sizes), sizes
