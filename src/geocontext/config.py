@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, decode_utf8
 
 WEIGHT_TOL = 1e-9
 
@@ -112,10 +112,11 @@ def _coerce(name: str, raw: str):
 def load_config(path: str | Path) -> EngineConfig:
     """Parse a "key = value" config file into an EngineConfig.
 
-    Blank lines and '#' comments are skipped; unknown keys raise ConfigError.
+    Blank lines and '#' comments are skipped; unknown keys raise ConfigError,
+    and a file that is not UTF-8 ParseError.
     """
     overrides = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(decode_utf8(Path(path).read_bytes(), f"config {path}").splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

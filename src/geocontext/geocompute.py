@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, NonPositiveSpeed, ParseError, UnsupportedGeometry
+from .errors import EmptyInput, NonPositiveSpeed, ParseError, UnsupportedGeometry, decode_utf8
 from .geomodel import GeoPoint
 # `haversine` is not called here; the benchmark's call counter (perfbench/tracer.py) looks it up.
 from .georelate import check_radius, haversine, haversine_array  # noqa: F401
@@ -128,10 +128,11 @@ def parse_feature_collection(doc: dict) -> FeatureSet:
 def load_geo_file(path: str | Path) -> FeatureSet:
     """Parse a geospatial-JSON file into a FeatureSet.
 
-    JSON syntax errors surface as ParseError with line and offset;
-    unsupported geometry types name the offending type.
+    Bytes that are not UTF-8 and JSON syntax errors surface as ParseError
+    with line and offset; unsupported geometry types name the offending
+    type.
     """
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = decode_utf8(Path(path).read_bytes(), f"geospatial file {path}")
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:

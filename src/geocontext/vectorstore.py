@@ -8,11 +8,15 @@ whole. `upsert` buffers a row; the next read folds every buffered row into
 new columns at once, so a run of writes costs one merge, not one per write.
 
 Search is exact: every query masks the store by credibility and radius
-first, then filters and refines. One float32 matrix-vector product gives
-approximate text scores for the eligible rows, and only the rows whose
-approximate combined score comes within a proven float32 error bound of the
-k-th best are rescored exactly (one float64 dot product per row for text
-similarity, haversine and exp for spatial proximity). The top k of those come
+first, then filters and refines. A located query takes the squared chord
+between unit vectors from its point to every row: the chord decides the
+radius wherever a proven margin allows and gives an approximate spatial
+term. One float32 matrix-vector product gives approximate text scores for
+the eligible rows, and only the rows whose approximate combined score comes
+within the proven error bounds of the k-th best are rescored exactly (one
+float64 dot product per row for text similarity, haversine and exp for
+spatial proximity; rows near the radius or the antipode always get the
+haversine). The top k of those come
 from a partition plus a stable sort of the rows that tie with or beat the
 k-th score. Rows are in doc_id order, so ties break on ascending doc_id and
 every hit list is reproducible.
@@ -410,9 +414,8 @@ class HybridIndex:
             temporal = ((cols.start[rows] <= q.time) & (q.time <= cols.end[rows])).astype(np.float64)
         w_t, w_s, w_d = q.weights
         keep = _may_rank(cols, rows, qv, q.weights, spatial, spatial_err, temporal, q.k)
-        rows, spatial, temporal = rows[keep], spatial[keep], temporal[keep]
-        if q.point is not None:
-            spatial = _proximity(cols, q.point, rows, self.config)[0]
+        rows, temporal = rows[keep], temporal[keep]
+        spatial = spatial[keep] if q.point is None else _proximity(cols, q.point, rows, self.config)[0]
         text = _exact_dots(cols.matrix, rows, qv)
         combined = w_t * text + w_s * spatial + w_d * temporal
         return [
@@ -698,8 +701,8 @@ def _locate(cols: _Columns, q: QuerySpec, eligible: np.ndarray, config: EngineCo
     exact one (see the comment above `_may_rank`). The squared chord from
     the query point to every row decides the radius wherever the margin
     allows and gives the approximation; rows in the radius's margin band,
-    rows near the antipode and rows without a usable point get
-    `_proximity`."""
+    rows near the antipode and rows with a longitude outside [-180, 180]
+    get `_proximity`."""
     scale = config.earth_radius_m / config.lambda_m
     p = _unit_vectors(np.array([q.point.lat]), np.array([q.point.lon]))
     x, y, z = cols.unit

@@ -273,6 +273,16 @@ class TestComputeCommand:
             assert "error_code=ParseError" in capsys.readouterr().err
 
 
+    def test_file_that_is_not_utf8_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.geojson"
+        path.write_bytes(b'{"type": "FeatureCollection", "name": "Caf\xe9", "features": []}')
+        code = main(["compute", "--op", "within-radius", "--a", str(path), "--center", "1.3,103.8",
+                     "--radius-m", "10", "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error_code=ParseError: geospatial file") and "(line 1, offset 42)" in err
+
+
 class TestEvalCommand:
     def test_eval_writes_report(self, workspace, capsys, tmp_path):
         out = tmp_path / "report"
@@ -357,6 +367,14 @@ class TestConfigFile:
 
         with pytest.raises(ConfigError):
             EngineConfig(**fields)
+
+    def test_config_that_is_not_utf8_exits_2(self, workspace, tmp_path, capsys):
+        path = tmp_path / "latin1.conf"
+        path.write_bytes(b"# caf\xe9\nlambda_m = 500\n")
+        code = main(["--config", str(path), "query", "--store", str(workspace["store"]), "--prompt", "Amber Basalt"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error_code=ParseError: config") and "(line 1, offset 5)" in err
 
     def test_nan_weight_in_config_file_exits_2(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "nan.cfg"
