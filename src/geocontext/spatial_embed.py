@@ -41,7 +41,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DimensionMismatch, GeoContextError, InvalidArgument, MissingWindow
 from .geomodel import GeoPoint, LandmarkRecord, TimeWindow
-from .geotext.tokens import Token
+from .geotext.tokens import Token, check_utf8
 
 _STRIP_CHARS = string.punctuation + "°“”‘’"
 
@@ -283,11 +283,10 @@ def embed_error(landmark: LandmarkRecord, event_text: str | None) -> GeoContextE
         return None
     for what, text in (("name", landmark.name), ("category", landmark.category),
                        ("description", landmark.description), ("event text", event_text or "")):
-        if not text.isascii():
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError:
-                return InvalidArgument(f"landmark {landmark.id!r}: {what} is not valid UTF-8 text")
+        try:
+            check_utf8(text)
+        except InvalidArgument as exc:
+            return InvalidArgument(f"landmark {landmark.id!r}: {what}: {exc}")
     return None
 
 

@@ -759,11 +759,10 @@ def _radius_cuts(t: float) -> tuple[float, float]:
 #   unit of h, so theta_h = d / R is within 82u / cos(theta / 2) + 10u theta
 #   < 1,200u (1 + theta) below `_FAR`.
 # So |theta_c - theta_h| < 2^-41 (1 + theta) below `_FAR`. Against a
-# 50-digit mpmath reference the most seen was 8u (1 + theta) for
-# haversine_array and 5u (1 + theta) for the chord, over random, nearly
-# coincident, +-180 degree, polar and near-antipodal pairs. `_ARC_MARGIN` =
-# 2^-36 is 32 times the derived bound, which also leaves the rounding of the
-# cuts (below 2^-48 theta) covered.
+# 50-digit mpmath reference, over 17,000 random, nearly coincident, +-180
+# degree, polar and near-antipodal pairs, the most seen was 9u (1 + theta)
+# for either. `_ARC_MARGIN` = 2^-36 is 32 times the derived bound, which also
+# leaves the rounding of the cuts (below 2^-48 theta) covered.
 #
 # A relative margin alone does not do. A pair a few cm apart across +-180
 # degrees gets a haversine 1e-4 off relative (1e-15 rad absolute). Near the
