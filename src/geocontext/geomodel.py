@@ -32,8 +32,11 @@ class GeoPoint:
             raise NonFiniteInput(f"coordinates must be finite, got ({self.lat}, {self.lon})")
         if not -90.0 <= self.lat <= 90.0:
             raise OutOfRangeLatitude(f"latitude {self.lat} outside [-90, 90]")
-        object.__setattr__(self, "lat", float(self.lat))
-        object.__setattr__(self, "lon", wrap_longitude(float(self.lon)))
+        # Floats already in range (as a parsed file gives them) are kept:
+        # `float` and `wrap_longitude` return them unchanged.
+        if type(self.lat) is not float or type(self.lon) is not float or not -180.0 < self.lon <= 180.0:
+            object.__setattr__(self, "lat", float(self.lat))
+            object.__setattr__(self, "lon", wrap_longitude(float(self.lon)))
 
 
 def normalize_point(lat: float, lon: float) -> GeoPoint:

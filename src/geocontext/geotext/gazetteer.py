@@ -10,7 +10,6 @@ cover every non-whitespace character exactly once.
 
 from __future__ import annotations
 
-import re
 import string
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -18,15 +17,15 @@ from typing import Iterable
 from ..geomodel import LandmarkRecord
 from .tokens import Token, Word, split_words
 
-_COLLAPSE_WS = re.compile(r"\s+")
-
 _KIND_CATEGORIES = {"city", "street", "landmark"}
 
 _PUNCT = set(string.punctuation)
 
 
 def normalize_name(name: str) -> str:
-    return _COLLAPSE_WS.sub(" ", name.strip()).casefold()
+    """Casefolded, with every run of whitespace (as `str.split` finds it)
+    one space and none at the ends."""
+    return " ".join(name.split()).casefold()
 
 
 @dataclass
@@ -37,15 +36,16 @@ class Gazetteer:
 
     def __post_init__(self):
         self.entries = {normalize_name(k): v for k, v in self.entries.items()}
-        self._max_words = max((len(k.split(" ")) for k in self.entries), default=1)
+        self._max_words = max((key.count(" ") for key in self.entries), default=0) + 1
 
     @classmethod
     def from_records(cls, records: Iterable[LandmarkRecord]) -> "Gazetteer":
         return cls(entries={r.name: (r.id, r.category) for r in records})
 
     def add(self, name: str, record_id: str, category: str) -> None:
-        self.entries[normalize_name(name)] = (record_id, category)
-        self._max_words = max(self._max_words, len(normalize_name(name).split(" ")))
+        key = normalize_name(name)
+        self.entries[key] = (record_id, category)
+        self._max_words = max(self._max_words, key.count(" ") + 1)
 
     def lookup(self, name: str) -> tuple[str, str] | None:
         return self.entries.get(normalize_name(name))

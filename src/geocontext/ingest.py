@@ -26,37 +26,40 @@ from .errors import DuplicateId, MissingHeader, RowError, decode_utf8
 from .geomodel import GeoPoint, LandmarkRecord, TimeWindow
 # `perfbench/tracer.py` wraps `ingest.make_composite` by name, so it stays
 # imported here.
-from .spatial_embed import embed_error, embed_landmarks, embed_text, make_composite, text_tokens
-from .vectorstore import HybridIndex, VectorRecord
+from .spatial_embed import _embed_rows, embed_error, embed_text, make_composite, text_tokens
+from .vectorstore import HybridIndex
 
 CSV_COLUMNS = ("id", "name", "lat", "lon", "category", "description", "source", "credibility", "admin_path")
 CSV_OPTIONAL_COLUMNS = ("window_start", "window_end", "event")
+_ROW_CELLS = len(CSV_COLUMNS) + len(CSV_OPTIONAL_COLUMNS)
 
 # Records embedded at once: a batch's float64 blocks take about 10 KB per
 # record, so memory stays flat however many records one call indexes.
 _EMBED_ROWS = 1024
 
 
-def _parse_row(row: dict[str, str]) -> LandmarkRecord:
-    point = GeoPoint(float(row["lat"]), float(row["lon"]))
-    admin_path = tuple(part for part in (row.get("admin_path") or "").split("|") if part)
+def _parse_row(row: list[str]) -> LandmarkRecord:
+    """The record of a row of at least `CSV_COLUMNS` cells, in header order;
+    optional cells it lacks count as empty, and cells past them are
+    ignored."""
+    (doc_id, name, lat, lon, category, description, source, credibility, admin_path, start_raw, end_raw,
+     event) = row if len(row) == _ROW_CELLS else (row + [""] * _ROW_CELLS)[:_ROW_CELLS]
+    point = GeoPoint(float(lat), float(lon))
     window = None
-    start_raw = (row.get("window_start") or "").strip()
-    end_raw = (row.get("window_end") or "").strip()
+    start_raw, end_raw = start_raw.strip(), end_raw.strip()
     if start_raw or end_raw:
         window = TimeWindow(float(start_raw), float(end_raw))
-    event = (row.get("event") or "").strip() or None
     return LandmarkRecord(
-        id=row["id"],
-        name=row["name"],
+        id=doc_id,
+        name=name,
         point=point,
-        category=row["category"],
-        description=row["description"],
-        source=row["source"],
-        credibility=float(row["credibility"]),
-        admin_path=admin_path,
+        category=category,
+        description=description,
+        source=source,
+        credibility=float(credibility),
+        admin_path=tuple(part for part in admin_path.split("|") if part),
         window=window,
-        event_text=event,
+        event_text=event.strip() or None,
     )
 
 
@@ -91,7 +94,7 @@ def _read_gazetteer(reader, strict: bool) -> tuple[list[LandmarkRecord], list[st
     diagnostics: list[str] = []
     seen: set[str] = set()
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         if len(row) < len(CSV_COLUMNS):
             message = f"expected >= {len(CSV_COLUMNS)} columns, got {len(row)}"
@@ -99,11 +102,10 @@ def _read_gazetteer(reader, strict: bool) -> tuple[list[LandmarkRecord], list[st
                 raise RowError(message, line=lineno)
             diagnostics.append(f"line {lineno}: {message}")
             continue
-        mapping = dict(zip(CSV_COLUMNS + CSV_OPTIONAL_COLUMNS, row))
-        if mapping["id"] in seen:
-            raise DuplicateId(f"duplicate gazetteer id {mapping['id']!r} at line {lineno}")
+        if row[0] in seen:
+            raise DuplicateId(f"duplicate gazetteer id {row[0]!r} at line {lineno}")
         try:
-            record = _parse_row(mapping)
+            record = _parse_row(row)
         except Exception as exc:
             if strict:
                 raise RowError(str(exc), line=lineno) from exc
@@ -234,34 +236,31 @@ def quality_filter(
 
 def _index_records(records: Sequence[LandmarkRecord], texts: Sequence[str], store: HybridIndex,
                    config: EngineConfig) -> None:
-    """Composite-embed the records in batches of `_EMBED_ROWS`, upserting
-    each batch under its ids, in order, with no read in between (a read
-    folds the whole store).
+    """Composite-embed the records in batches of `_EMBED_ROWS` and upsert
+    each batch under its ids, in order, in one store write, with no read in
+    between (a read folds the whole store).
 
     A record that cannot be embedded (event text but no time window, or
     text that is not valid UTF-8) raises its `embed_error` after the records
     before it are upserted, as when each record is embedded and upserted in
     turn.
     """
-    stop = next((i for i, rec in enumerate(records) if embed_error(rec, rec.event_text) is not None),
-                len(records))
+    errors = ((i, error) for i, rec in enumerate(records) if (error := embed_error(rec, rec.event_text)) is not None)
+    stop, error = next(errors, (len(records), None))
     for at in range(0, stop, _EMBED_ROWS):
         batch = records[at : min(at + _EMBED_ROWS, stop)]
-        vectors = embed_landmarks(batch, [rec.event_text for rec in batch], config)[3]
-        for rec, text, vector in zip(batch, texts[at:], vectors):
-            store.upsert(
-                VectorRecord(
-                    doc_id=rec.id,
-                    vector=vector,
-                    point=rec.point,
-                    window=rec.window,
-                    credibility=rec.credibility,
-                    source=rec.source,
-                    text=text,
-                )
-            )
-    if stop < len(records):
-        make_composite(records[stop], records[stop].event_text, config)  # raises its embed_error
+        vectors = _embed_rows(batch, [rec.event_text for rec in batch], config)[3]
+        store._upsert_rows(
+            [rec.id for rec in batch],
+            vectors,
+            [rec.point for rec in batch],
+            [rec.window for rec in batch],
+            [rec.credibility for rec in batch],
+            [rec.source for rec in batch],
+            texts[at : at + len(batch)],
+        )
+    if error is not None:
+        raise error
 
 
 def index_gazetteer(

@@ -29,6 +29,10 @@ MAX_K = 100
 # Largest request body read, in bytes: a 20k-feature inline /compute
 # FeatureCollection is about 3 MB.
 MAX_BODY_BYTES = 32 * 1024 * 1024
+# Seconds a connection may stay silent, at any point of a request, before
+# the handler gives up on it: a body shorter than its Content-Length gets a
+# 400 after this long instead of holding a handler thread.
+SOCKET_TIMEOUT_S = 10.0
 
 
 def _compute_payload(body: dict) -> dict:
@@ -51,6 +55,7 @@ def _compute_payload(body: dict) -> dict:
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "geocontext/0.1"
+    timeout = SOCKET_TIMEOUT_S
 
     def log_message(self, fmt, *args):  # keep stdout reproducible
         pass
@@ -77,7 +82,13 @@ class _Handler(BaseHTTPRequestHandler):
             if length > MAX_BODY_BYTES:
                 self._send(400, {"error": f"body larger than {MAX_BODY_BYTES} bytes"})
                 return
-            body = json.loads(self.rfile.read(length).decode("utf-8")) if length else {}
+            try:
+                data = self.rfile.read(length)
+            except TimeoutError:
+                self.close_connection = True
+                self._send(400, {"error": f"body not received within {self.timeout:g} s"})
+                return
+            body = json.loads(data.decode("utf-8")) if length else {}
             if not isinstance(body, dict):
                 raise ValueError("body is not a JSON object")
         except (ValueError, RecursionError):  # also UnicodeDecodeError; RecursionError: nested too deep
@@ -85,19 +96,24 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             if self.path == "/query":
-                k = int(body.get("k", 5))
+                k = body.get("k", 5)
+                if isinstance(k, bool) or not isinstance(k, int):
+                    raise InvalidArgument(f"k must be an integer, got {type(k).__name__}")
                 if k > MAX_K:
                     raise InvalidArgument(f"k must be <= {MAX_K}, got {k}")
                 prompt = body.get("prompt", "")
                 if not isinstance(prompt, str):
                     raise InvalidArgument(f"prompt must be a string, got {type(prompt).__name__}")
+                time = body.get("time")
+                if isinstance(time, bool) or not isinstance(time, (int, float, type(None))):
+                    raise InvalidArgument(f"time must be a number, got {type(time).__name__}")
                 payload = answer_prompt(
                     self.server.store,
                     self.server.gazetteer,
                     prompt,
                     k,
                     self.server.config,
-                    time=float(body["time"]) if body.get("time") is not None else None,
+                    time=float(time) if time is not None else None,
                 )
                 self._send(200, payload)
             elif self.path == "/compute":

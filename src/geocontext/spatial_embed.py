@@ -19,7 +19,10 @@ batch gives the same bits as one record at a time:
   exact in any order, and a bounded cache maps each whitespace-split word to
   its slot, because names, categories and common words repeat;
 - the projection is one matrix-vector product per row, never one matrix
-  product for the batch, which sums in another order and changes last bits.
+  product for the batch, which sums in another order and changes last bits:
+  a batch is one `np.matmul` of the matrix with its rows as stacked column
+  vectors, which numpy runs as one BLAS gemv per row, and one `np.vecdot`
+  for the norms, which takes one ddot per row.
 
 Everything here is pure and deterministic for a fixed config: token hashing
 and the projection matrix both derive from keyed blake2b streams, not from a
@@ -184,16 +187,15 @@ def project(vec: np.ndarray, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarra
 
 
 def _standardize_rows(concat: np.ndarray, config: EngineConfig) -> np.ndarray:
-    """`standardize` of each row of an n x concat_dim array: one
-    matrix-vector product per row, and its norm taken as `np.linalg.norm`
-    takes it, so each row has the bits of a one-row call."""
+    """`standardize` of each row of an n x concat_dim array. `np.matmul` of
+    the matrix with the rows as n stacked column vectors runs one
+    matrix-vector product (gemv) per row, as `matrix @ row` does, and
+    `np.vecdot` takes each squared norm with one ddot, as `np.linalg.norm`
+    does, so each row has the bits of a one-row call."""
     matrix = _projection_matrix(config.projection_seed, config.d_text, config.concat_dim)
-    out = np.empty((len(concat), config.d_text))
-    for i, row in enumerate(concat):
-        projected = matrix @ row
-        norm = math.sqrt(projected.dot(projected))
-        out[i] = projected / norm if norm > 0.0 else projected
-    return out
+    projected = np.matmul(matrix, concat[:, :, None])[:, :, 0]
+    norms = np.sqrt(np.vecdot(projected, projected))
+    return projected / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
 def standardize(vec: np.ndarray, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -257,8 +259,11 @@ def _block_rows(word_rows: Sequence[list[str] | None], dim: int, seed: int,
     """One text block per row, from its whitespace-split words; zeros for
     a row without words (None)."""
     if embedder is None:
+        # Each distinct word of the batch goes through the slot cache once.
+        batch_words = dict.fromkeys(itertools.chain.from_iterable(words for words in word_rows if words))
+        slot_of = {word: _word_slot(word, dim, seed) for word in batch_words}
         return _hash_rows(
-            [[] if words is None else [s for w in words if (s := _word_slot(w, dim, seed))] for words in word_rows],
+            [[] if words is None else [s for s in map(slot_of.__getitem__, words) if s] for words in word_rows],
             dim,
         )
     out = np.zeros((len(word_rows), dim))
@@ -307,6 +312,17 @@ def embed_landmarks(
     for landmark, event_text in zip(landmarks, event_texts, strict=True):
         if (error := embed_error(landmark, event_text)) is not None:
             raise error
+    return _embed_rows(landmarks, event_texts, config, embedder)
+
+
+def _embed_rows(
+    landmarks: Sequence[LandmarkRecord],
+    event_texts: Sequence[str | None],
+    config: EngineConfig,
+    embedder: ExternalEmbedder | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`embed_landmarks` of landmarks whose `embed_error` the caller has
+    found to be None."""
     n = len(landmarks)
     lat = np.fromiter((landmark.point.lat for landmark in landmarks), dtype=np.float64, count=n)
     lon = np.fromiter((landmark.point.lon for landmark in landmarks), dtype=np.float64, count=n)

@@ -4,8 +4,9 @@ proximity decay, and temporal window overlap.
 
 The store is a set of columns in ascending doc_id order (ids, a float32
 vector matrix, points, windows, credibility, source and text), replaced as a
-whole. `upsert` buffers a row; the next read folds every buffered row into
-new columns at once, so a run of writes costs one merge, not one per write.
+whole. `upsert` buffers a row, and ingest buffers a whole batch of rows with
+the same checks and bits; the next read folds every buffered row into new
+columns at once, so a run of writes costs one merge, not one per write.
 
 Search is exact: every query masks the store by credibility and radius
 first, then filters and refines. A located query takes the squared chord
@@ -241,9 +242,9 @@ class HybridIndex:
         self.config = config
         self._columns = _Columns.empty(config.d_text)
         # Writes not yet folded into `_columns`: the vector of buffered row m
-        # is `_block[m]` (its capacity doubles when full), its other column
-        # values are `_pending[m]`, and `_pending_at` maps each buffered id
-        # to its last row.
+        # is `_block[m]` (its capacity doubles until the rows fit), its other
+        # column values are `_pending[m]`, and `_pending_at` maps each
+        # buffered id to its last row.
         self._block = np.empty((0, config.d_text), dtype=np.float32)
         self._pending: list[tuple] = []
         self._pending_at: dict[str, int] = {}
@@ -267,61 +268,72 @@ class HybridIndex:
         doc id, source or text that is not valid UTF-8 (a lone surrogate),
         raises before anything is stored: `save` could not write it, or
         `load` would reject it."""
-        vec = np.asarray(record.vector, dtype=np.float64).reshape(-1)
-        if vec.shape != (self.config.d_text,):
-            raise InvalidVectorDim(f"vector length {vec.shape[0]} != d_text {self.config.d_text}")
-        # The squared norm as `np.linalg.norm` takes it; it is finite unless
-        # a component is not finite or the squares overflow (both handled
-        # below, so the overflow warning is noise).
-        with np.errstate(over="ignore"):
-            sq = float(vec.dot(vec))
-        if not math.isfinite(sq) and not np.all(np.isfinite(vec)):
-            raise InvalidVectorDim("vector has non-finite components")
-        if not math.isfinite(record.credibility):
-            raise InvalidArgument(f"credibility must be finite, got {record.credibility}")
-        for what in ("doc_id", "source", "text"):
-            try:
-                getattr(record, what).encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise InvalidArgument(f"{what} is not valid UTF-8 text: {exc.reason}") from None
-        norm = math.sqrt(sq)
-        if not 2.0**-500 < norm < 2.0**500 and np.any(vec):
-            # Outside (2^-500, 2^500) the float64 sum of squares may have
-            # lost bits to underflow or overflowed, so `norm` can be off, 0 or
-            # inf: scale by a power of two (exact) to a largest component in
-            # [0.5, 1) first. Inside it the sum is a normal float64.
-            vec = np.ldexp(vec, -math.frexp(float(np.max(np.abs(vec))))[1])
-            norm = math.sqrt(vec.dot(vec))
-        if norm > 0.0:
-            vec = vec / norm
-        return self._append(record.doc_id, vec, record.point, record.window, record.credibility,
-                            record.source, record.text)
-
-    def _append(self, doc_id: str, vec: np.ndarray, point: GeoPoint | None, window: TimeWindow | None,
-                credibility: float, source: str, text: str) -> bool:
-        """Buffer one row, `vec` rounded to float32 into `_block`, and
-        return whether doc_id was stored already. Copies no column."""
-        values = (
-            point is not None,
-            point.lat if point is not None else 0.0,
-            point.lon if point is not None else 0.0,
-            window.start if window is not None else math.inf,
-            window.end if window is not None else -math.inf,
-            credibility,
-            source,
-            text,
-        )
+        vector = np.asarray(record.vector, dtype=np.float64).reshape(1, -1)
         with self._lock:
-            existed = doc_id in self._pending_at or self._columns.find(doc_id) >= 0
-            m = len(self._pending)
-            if m == len(self._block):
-                grown = np.empty((max(2 * m, 64), self.config.d_text), dtype=np.float32)
-                grown[:m] = self._block
-                self._block = grown
-            self._block[m] = vec
-            self._pending.append(values)
-            self._pending_at[doc_id] = m
+            existed = record.doc_id in self._pending_at or self._columns.find(record.doc_id) >= 0
+            self._upsert_rows([record.doc_id], vector, [record.point], [record.window], [record.credibility],
+                              [record.source], [record.text])
             return existed
+
+    def _upsert_rows(self, doc_ids, vectors, points, windows, credibility, sources, texts) -> None:
+        """`upsert` of n rows, in order: `vectors` is n x d, the other
+        arguments are lists of n values. A row that fails `upsert`'s checks
+        raises after the rows before it are buffered, as one `upsert` per
+        row would.
+
+        The squared norms are one `np.vecdot`, which takes one ddot per row
+        with the bits of `vec.dot(vec)`, and the rows are divided by their
+        norms at once. A row whose norm is outside (2^-500, 2^500), or whose
+        credibility or strings fail, takes `_unit_row` on its own."""
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[1] != self.config.d_text:
+            raise InvalidVectorDim(f"vector length {vectors.shape[-1]} != d_text {self.config.d_text}")
+        # A square that overflows is handled by `_unit_row` (the warning is
+        # noise).
+        with np.errstate(over="ignore"):
+            squares = np.vecdot(vectors, vectors)
+        norms = np.sqrt(squares)
+        alone = ~((2.0**-500 < norms) & (norms < 2.0**500) & np.isfinite(np.asarray(credibility, dtype=np.float64)))
+        if not _utf8(*doc_ids, *sources, *texts):
+            alone |= [not _utf8(*row) for row in zip(doc_ids, sources, texts)]
+        units = vectors / np.where(alone, 1.0, norms)[:, None]
+        for i in np.flatnonzero(alone).tolist():
+            try:
+                units[i] = _unit_row(vectors[i], float(squares[i]), credibility[i], doc_ids[i], sources[i], texts[i])
+            except GeoContextError:
+                self._append_rows(doc_ids[:i], units[:i], points[:i], windows[:i], credibility[:i], sources[:i],
+                                  texts[:i])
+                raise
+        self._append_rows(doc_ids, units, points, windows, credibility, sources, texts)
+
+    def _append_rows(self, doc_ids, units, points, windows, credibility, sources, texts) -> None:
+        """Buffer n rows, `units` (n x d) rounded to float32 into `_block`.
+        Copies no column."""
+        values = [
+            (
+                point is not None,
+                point.lat if point is not None else 0.0,
+                point.lon if point is not None else 0.0,
+                window.start if window is not None else math.inf,
+                window.end if window is not None else -math.inf,
+                cred,
+                source,
+                text,
+            )
+            for point, window, cred, source, text in zip(points, windows, credibility, sources, texts)
+        ]
+        with self._lock:
+            m = len(self._pending)
+            if m + len(values) > len(self._block):
+                capacity = max(len(self._block), 64)
+                while capacity < m + len(values):
+                    capacity *= 2
+                grown = np.empty((capacity, self.config.d_text), dtype=np.float32)
+                grown[:m] = self._block[:m]
+                self._block = grown
+            self._block[m : m + len(values)] = units
+            self._pending += values
+            self._pending_at.update(zip(doc_ids, range(m, m + len(values))))
 
     def _snapshot(self) -> _Columns:
         """The current columns, after folding in any buffered writes."""
@@ -501,6 +513,43 @@ class HybridIndex:
         return store
 
 
+def _utf8(*texts: str) -> bool:
+    """Whether every text has a UTF-8 encoding (holds no lone surrogate)."""
+    joined = "".join(texts)
+    if joined.isascii():
+        return True
+    try:
+        joined.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _unit_row(vec: np.ndarray, sq: float, credibility: float, doc_id: str, source: str, text: str) -> np.ndarray:
+    """`upsert`'s rules for one row, given its float64 squared norm `sq`:
+    InvalidVectorDim for a non-finite vector, InvalidArgument for a
+    non-finite credibility or a string that is not UTF-8, else the vector
+    divided by its norm (a zero vector stays zero)."""
+    if not math.isfinite(sq) and not np.all(np.isfinite(vec)):
+        raise InvalidVectorDim("vector has non-finite components")
+    if not math.isfinite(credibility):
+        raise InvalidArgument(f"credibility must be finite, got {credibility}")
+    for what, value in (("doc_id", doc_id), ("source", source), ("text", text)):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InvalidArgument(f"{what} is not valid UTF-8 text: {exc.reason}") from None
+    norm = math.sqrt(sq)
+    if not 2.0**-500 < norm < 2.0**500 and np.any(vec):
+        # Outside (2^-500, 2^500) the float64 sum of squares may have lost
+        # bits to underflow or overflowed, so `norm` can be off, 0 or inf:
+        # scale by a power of two (exact) to a largest component in [0.5, 1)
+        # first. Inside it the sum is a normal float64.
+        vec = np.ldexp(vec, -math.frexp(float(np.max(np.abs(vec))))[1])
+        norm = math.sqrt(vec.dot(vec))
+    return vec / norm if norm > 0.0 else vec
+
+
 def _unit_tol(dim: int) -> float:
     """How far the float64 squared norm s of a stored nonzero vector may be
     from 1.
@@ -560,7 +609,8 @@ def _read_v1(reader: _Reader, store: HybridIndex, dim: int, count: int) -> None:
         (credibility,) = reader.unpack("<d", "credibility")
         if not math.isfinite(credibility):
             raise CorruptFile(f"non-finite credibility {credibility}", offset=credibility_at)
-        store._append(doc_id, vec, point, window, credibility, reader.string("source"), reader.string("text"))
+        store._append_rows([doc_id], vec.reshape(1, dim), [point], [window], [credibility], [reader.string("source")],
+                           [reader.string("text")])
     if reader.pos != len(reader.data):
         raise CorruptFile("trailing bytes after last record", offset=reader.pos)
 

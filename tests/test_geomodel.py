@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from geocontext.geomodel import (
     TimeWindow,
     normalize_point,
     point_in_bbox,
+    wrap_longitude,
 )
 
 LATS = st.floats(min_value=-90, max_value=90, allow_nan=False)
@@ -46,6 +50,21 @@ class TestNormalizePoint:
         assert -180 < p.lon <= 180
         turns = (lon - p.lon) / 360.0
         assert abs(turns - round(turns)) < 1e-9
+
+    @given(LATS, st.floats(min_value=-180, max_value=180, exclude_min=True)
+           | st.sampled_from([180.0, -0.0, 0.0, 5e-324, 179.99999999999997, -179.99999999999997]))
+    def test_float_in_range_kept_as_given(self, lat, lon):
+        # GeoPoint keeps such floats without converting them, so they must
+        # be what float() and wrap_longitude would make of them.
+        p = GeoPoint(lat, lon)
+        assert math.copysign(1.0, p.lon) == math.copysign(1.0, wrap_longitude(lon))
+        assert (p.lat, p.lon) == (float(lat), wrap_longitude(lon)) == (lat, lon)
+
+    def test_other_number_types_become_floats(self):
+        for lat, lon in ((1, 2), (np.float64(1.5), np.float64(2.5)), (np.float32(1.5), 190.0), (True, 179)):
+            p = GeoPoint(lat, lon)
+            assert type(p.lat) is float and type(p.lon) is float
+            assert (p.lat, p.lon) == (float(lat), wrap_longitude(float(lon)))
 
     @given(LATS, LONS)
     def test_idempotent(self, lat, lon):

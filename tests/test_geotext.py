@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from geocontext.geomodel import GeoPoint
 from geocontext.geotext import (
     Gazetteer,
     coord_to_text,
+    normalize_name,
     ngram_tokenize,
     parse_address,
     semantic_tag,
@@ -177,3 +180,37 @@ class TestSemanticTag:
             covered.update(range(start, end))
         uncovered = [i for i in range(len(raw)) if i not in covered and not raw[i : i + 1].isspace()]
         assert uncovered == []
+
+
+# Whitespace of every kind `str.split` and the regex `\s` know, ASCII
+# separators and Unicode spaces included, among letters that casefold.
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+NAME_TEXT = st.text(st.sampled_from(list(WHITESPACE) + list("aZß\u0130ΣςΐﬃÉ-.'")), max_size=24) | st.text(max_size=24)
+
+
+def regex_normalize_name(name: str) -> str:
+    """The form `normalize_name` had: strip, collapse each regex whitespace
+    run to one space, casefold."""
+    return re.sub(r"\s+", " ", name.strip()).casefold()
+
+
+class TestNormalizeName:
+    @given(NAME_TEXT)
+    def test_equals_the_regex_version(self, name):
+        assert normalize_name(name) == regex_normalize_name(name)
+
+    @pytest.mark.parametrize("space", list(WHITESPACE))
+    def test_each_whitespace_character_collapses(self, space):
+        name = f"{space}Marina{space}{space}Bay{space}"
+        assert normalize_name(name) == regex_normalize_name(name) == "marina bay"
+
+    @given(st.lists(st.tuples(NAME_TEXT, st.text(max_size=3)), max_size=12))
+    def test_gazetteer_entries_and_max_words(self, pairs):
+        entries = {name: (rid, "city") for name, rid in pairs}
+        g = Gazetteer(entries=entries)
+        want = {regex_normalize_name(k): v for k, v in entries.items()}
+        assert list(g.entries.items()) == list(want.items())
+        assert g.max_words == max((len(k.split(" ")) for k in want), default=1)
+        for name, rid in pairs:
+            g.add(name, rid, "street")
+        assert g.max_words == max((len(k.split(" ")) for k in want), default=1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geocontext import DEFAULT_CONFIG
-from oracles import stored_vector
+from oracles import oracle_composite, stored_vector
 
 from geocontext.errors import DuplicateId, InvalidArgument, MissingHeader, MissingWindow, ParseError, RowError
 from geocontext.fixtures import build_landmarks, write_gazetteer_csv
@@ -20,8 +20,8 @@ from geocontext.ingest import (
     quality_filter,
     score_relevance,
 )
-from geocontext.spatial_embed import embed_text, make_composite, query_vector, text_tokens
-from geocontext.vectorstore import HybridIndex, QuerySpec
+from geocontext.spatial_embed import _projection_matrix, embed_text, make_composite, query_vector, text_tokens
+from geocontext.vectorstore import HybridIndex, QuerySpec, VectorRecord
 
 CFG = DEFAULT_CONFIG
 
@@ -76,6 +76,68 @@ class TestLoadGazetteer:
             load_gazetteer(path)
         with pytest.raises(MissingHeader):
             load_gazetteer(write_csv(tmp_path, "", header="", name="empty.csv"))
+
+    def test_lenient_diagnostics_one_row_of_each_failure(self, tmp_path):
+        # Blank and whitespace-only rows are skipped but still count lines;
+        # cells past the optional columns are ignored.
+        rows = [
+            "a,Alpha,1.0,2.0,city,d,s,0.5,SG|Central,,,",
+            "b,Beta,1.0,2.0,city",
+            "",
+            " , ,\t",
+            "c,Gamma,north,2.0,city,d,s,0.5,",
+            "d,Delta,1.0,east,city,d,s,0.5,",
+            "e,Epsilon,91.5,2.0,city,d,s,0.5,",
+            "f,Zeta,nan,2.0,city,d,s,0.5,",
+            "g,Eta,1.0,inf,city,d,s,0.5,",
+            "h,Theta,1.0,2.0,city,d,s,high,",
+            "i,Iota,1.0,2.0,city,d,s,1.5,",
+            "j,,1.0,2.0,city,d,s,0.5,",
+            "k,Kappa,1.0,2.0,city,d,s,0.5,,soon,10,",
+            "l,Lambda,1.0,2.0,city,d,s,0.5,,20,10,Fair",
+            "m,Mu,1.0,2.0,city,d,s,0.5,,inf,10,",
+            "n,Nu,1.0,2.0,city,d,s,0.5,,5,,",
+            "o,Xi,1.0,540.0,city,d,s,0.5,A|,0,10, Fair ,extra,cells",
+            "p,Omicron,-90,-180,city,,s,1,,,,  ",
+            "q,Pi,1e400,2.0,city,d,s,0.5,",
+        ]
+        path = write_csv(tmp_path, "\n".join(rows) + "\n", header=HEADER + ",window_start,window_end,event")
+        records, diagnostics = load_gazetteer(path)
+        assert diagnostics == [
+            "line 3: expected >= 9 columns, got 5",
+            "line 6: could not convert string to float: 'north'",
+            "line 7: could not convert string to float: 'east'",
+            "line 8: latitude 91.5 outside [-90, 90]",
+            "line 9: coordinates must be finite, got (nan, 2.0)",
+            "line 10: coordinates must be finite, got (1.0, inf)",
+            "line 11: could not convert string to float: 'high'",
+            "line 12: credibility 1.5 outside [0, 1]",
+            "line 13: landmark name must be non-empty",
+            "line 14: could not convert string to float: 'soon'",
+            "line 15: window start 20.0 after end 10.0",
+            "line 16: time window bounds must be finite",
+            "line 17: could not convert string to float: ''",
+            "line 20: coordinates must be finite, got (inf, 2.0)",
+        ]
+        assert [repr(r) for r in records] == [
+            "LandmarkRecord(id='a', name='Alpha', point=GeoPoint(lat=1.0, lon=2.0), category='city', "
+            "description='d', source='s', credibility=0.5, admin_path=('SG', 'Central'), window=None, "
+            "event_text=None)",
+            "LandmarkRecord(id='o', name='Xi', point=GeoPoint(lat=1.0, lon=180.0), category='city', "
+            "description='d', source='s', credibility=0.5, admin_path=('A',), "
+            "window=TimeWindow(start=0.0, end=10.0), event_text='Fair')",
+            "LandmarkRecord(id='p', name='Omicron', point=GeoPoint(lat=-90.0, lon=180.0), category='city', "
+            "description='', source='s', credibility=1.0, admin_path=(), window=None, event_text=None)",
+        ]
+        with pytest.raises(RowError, match="expected >= 9 columns") as err:
+            load_gazetteer(path, strict=True)
+        assert err.value.line == 3
+
+    def test_window_cells_without_their_header_columns_are_read(self, tmp_path):
+        path = write_csv(tmp_path, "e,Event Hall,1,2,landmark,D,src,0.9,,100,200,Launch party\n")
+        (rec,), diagnostics = load_gazetteer(path)
+        assert diagnostics == []
+        assert rec.window == TimeWindow(100.0, 200.0) and rec.event_text == "Launch party"
 
     def test_optional_event_columns(self, tmp_path):
         header = HEADER + ",window_start,window_end,event"
@@ -280,6 +342,67 @@ class TestIndexGazetteer:
             if hits[0].doc_id != r.id:
                 misses.append(r.id)
         assert misses == []
+
+
+def one_upsert_per_record(records, store):
+    """`index_gazetteer` as one `make_composite` and one `upsert` per
+    record, in order."""
+    for rec in records:
+        vector = make_composite(rec, rec.event_text, CFG).standardized
+        text = f"{rec.name}: {rec.description}" if rec.description else rec.name
+        store.upsert(VectorRecord(rec.id, vector, rec.point, rec.window, rec.credibility, rec.source, text))
+
+
+def with_field(rec, field, value):
+    """rec with one field set, past `LandmarkRecord`'s own checks (a NaN
+    credibility would fail them)."""
+    rec = replace(rec)
+    object.__setattr__(rec, field, value)
+    return rec
+
+
+class TestIndexGazetteerBatches:
+    BAD = {
+        "nan credibility": lambda rec: with_field(rec, "credibility", float("nan")),
+        "inf credibility": lambda rec: with_field(rec, "credibility", float("inf")),
+        "id": lambda rec: with_field(rec, "id", rec.id + "\udcff"),
+        "source": lambda rec: with_field(rec, "source", "src \ud800"),
+        "text": lambda rec: with_field(rec, "description", rec.description + " \udcff"),
+        "event without window": lambda rec: with_field(with_field(rec, "window", None), "event_text", "Fair"),
+    }
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 1023, 1024, 1020]),
+        bad=st.none() | st.tuples(st.integers(0, 1024), st.sampled_from(sorted(BAD))),
+        rotate=st.integers(0, 99),
+    )
+    def test_stores_what_one_upsert_per_record_stores(self, landmarks, n, bad, rotate):
+        pool = landmarks[rotate:] + landmarks[:rotate]
+        records = [replace(r, id=f"{r.id}-{k:02d}") for k in range(11) for r in pool][:n]
+        if bad is not None:
+            at = bad[0] % n
+            records[at] = self.BAD[bad[1]](records[at])
+        batch, each = HybridIndex(CFG), HybridIndex(CFG)
+        stop, want_error = n, None
+        try:
+            one_upsert_per_record(records, each)
+        except (InvalidArgument, MissingWindow) as exc:
+            stop, want_error = at, exc
+        if want_error is None:
+            assert index_gazetteer(records, batch, CFG) == n
+        else:
+            with pytest.raises(type(want_error)) as err:
+                index_gazetteer(records, batch, CFG)
+            assert str(err.value) == str(want_error)
+        assert batch.doc_ids() == each.doc_ids() == sorted(r.id for r in records[:stop])
+        matrix = _projection_matrix(CFG.projection_seed, CFG.d_text, CFG.concat_dim)
+        for rec in records[:stop]:
+            got, want = batch.get(rec.id), each.get(rec.id)
+            oracle = stored_vector(oracle_composite(rec, rec.event_text, CFG, matrix)[3])
+            assert got.vector.tobytes() == want.vector.tobytes() == oracle.tobytes()
+            assert (got.point, got.window, got.source, got.text) == (want.point, want.window, want.source, want.text)
+            assert np.float64(got.credibility).tobytes() == np.float64(want.credibility).tobytes()
 
 
 class TestIndexDescriptions:

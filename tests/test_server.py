@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -9,6 +10,7 @@ from geocontext import DEFAULT_CONFIG
 from geocontext.cli import main
 from geocontext.fixtures import build_landmarks, build_store, write_gazetteer_csv
 from geocontext.geotext import Gazetteer
+from geocontext import server as server_module
 from geocontext.server import MAX_BODY_BYTES, make_server
 
 CFG = DEFAULT_CONFIG
@@ -22,7 +24,7 @@ def running_server(tmp_path_factory):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield {"base": base, "records": records, "store": store}
+    yield {"base": base, "address": server.server_address, "records": records, "store": store}
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
@@ -92,6 +94,53 @@ class TestQueryEndpoint:
             status, body = post(running_server["base"] + "/query", payload)
             assert status == 400, payload
             assert "error" in json.loads(body)
+
+    def test_k_and_time_of_other_json_types_are_typed_400(self, running_server):
+        # k is a JSON integer and time a JSON number; neither is coerced.
+        for payload in (
+            {"prompt": "Amber Basalt", "k": True},
+            {"prompt": "Amber Basalt", "k": False},
+            {"prompt": "Amber Basalt", "k": 2.9},
+            {"prompt": "Amber Basalt", "k": 3.0},
+            {"prompt": "Amber Basalt", "k": "3"},
+            {"prompt": "Amber Basalt", "k": None},
+            {"prompt": "Amber Basalt", "k": [3]},
+            {"prompt": "Amber Basalt", "time": "1e9"},
+            {"prompt": "Amber Basalt", "time": True},
+            {"prompt": "Amber Basalt", "time": [1e9]},
+        ):
+            status, body = post(running_server["base"] + "/query", payload)
+            assert status == 400, payload
+            assert json.loads(body)["error"].startswith("InvalidArgument: "), (payload, body)
+
+    def test_integer_k_and_numeric_time_are_accepted(self, running_server):
+        for payload in (
+            {"prompt": "Amber Basalt", "k": 3, "time": 1_700_000_000},
+            {"prompt": "Amber Basalt", "k": 3, "time": 1.7e9},
+            {"prompt": "Amber Basalt", "k": 3, "time": None},
+        ):
+            status, body = post(running_server["base"] + "/query", payload)
+            assert status == 200, (payload, body)
+
+    def test_short_body_is_400_after_the_socket_timeout(self, running_server, monkeypatch):
+        # 12 of 100 declared bytes arrive: the handler thread gives up after
+        # its timeout, answers 400 and closes the connection.
+        assert server_module._Handler.timeout == server_module.SOCKET_TIMEOUT_S == 10.0
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.5)
+        with socket.create_connection(running_server["address"], timeout=5) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\n"
+                b'Content-Length: 100\r\n\r\n{"prompt": "'
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400", reply
+        assert json.loads(body) == {"error": "body not received within 0.5 s"}
+        status, body = post(running_server["base"] + "/query", {"prompt": "Amber Basalt", "k": 3})
+        assert status == 200
+        assert json.loads(body)["citations"][0]["doc_id"] == "lm000"
 
     def test_bad_json_is_400(self, running_server):
         # Not JSON, JSON that is not an object, and a negative length, on

@@ -669,6 +669,111 @@ class TestWritePath:
         assert peak < cols.matrix.nbytes / 8, peak
 
 
+def one_row_reference(vec: np.ndarray) -> np.ndarray:
+    """What `upsert` stores of one vector, one row at a time: divided by
+    `math.sqrt(vec.dot(vec))` after power-of-two scaling outside (2^-500,
+    2^500), rounded to float32; zero stays zero."""
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float(vec.dot(vec)))
+    if not 2.0**-500 < norm < 2.0**500 and np.any(vec):
+        vec = np.ldexp(vec, -math.frexp(float(np.max(np.abs(vec))))[1])
+        norm = math.sqrt(vec.dot(vec))
+    return (vec / norm if norm > 0.0 else vec).astype(np.float32)
+
+
+# Row scales that reach every case of the norm: zero, subnormal, under
+# 2^-500 and over 2^500, squares that overflow, and plain ones.
+SCALES = [0.0, 5e-324, 2.0**-1060, 2.0**-600, 2.0**-500, 2.0**500, 2.0**600, 1e300, 1e-3, 3.5]
+BAD_ROWS = ["nan credibility", "inf credibility", "nan vector", "inf vector", "doc_id", "source", "text"]
+
+
+class TestBatchWrite:
+    """`_upsert_rows` stores what one `upsert` per row stores, and stops at
+    the same row with the same error."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 1023, 1024, 1025]) | st.integers(1, 70),
+        seed=st.integers(0, 2**32 - 1),
+        scaled=st.lists(st.tuples(st.integers(0, 1024), st.sampled_from(SCALES)), max_size=8),
+        repeats=st.lists(st.tuples(st.integers(0, 1024), st.integers(0, 1024)), max_size=3),
+        bad=st.none() | st.tuples(st.integers(0, 1024), st.sampled_from(BAD_ROWS)),
+        prior=st.integers(0, 3),
+    )
+    def test_batch_equals_one_upsert_per_row(self, n, seed, scaled, repeats, bad, prior):
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((n, D))
+        ids = [f"doc{i:04d}" for i in range(n)]
+        for i, scale in scaled:
+            vectors[i % n] = rng.standard_normal(D) * scale
+        for i, j in repeats:  # an id written twice in one batch
+            ids[j % n] = ids[i % n]
+        points = [GeoPoint(float(lat), float(lon)) if lat > 0 else None
+                  for lat, lon in rng.uniform(-80, 80, (n, 2))]
+        windows = [TimeWindow(float(t), float(t) + 10.0) if t > 50 else None for t in rng.uniform(0, 100, n)]
+        credibility = rng.uniform(0, 1, n).tolist()
+        sources = rng.choice(["", "src", "sé"], n).tolist()
+        texts = [f"text {i} é" for i in range(n)]
+        if bad is not None:
+            at, kind = bad[0] % n, bad[1]
+            if kind.endswith("credibility"):
+                credibility[at] = float(kind.split()[0])
+            elif kind.endswith("vector"):
+                vectors[at, at % D] = float(kind.split()[0])
+            else:
+                {"doc_id": ids, "source": sources, "text": texts}[kind][at] += "\udcff"
+        # Rows already folded into the store, some under ids of the batch.
+        stores = []
+        for _ in range(2):
+            store = HybridIndex(CFG)
+            for i in range(prior):
+                store.upsert(record(f"doc{2 * i:04d}", unit(np.random.default_rng(i))))
+            store.doc_ids()
+            stores.append(store)
+        batch, each = stores
+
+        stop, want_error = n, None
+        for i, row in enumerate(zip(ids, vectors, points, windows, credibility, sources, texts)):
+            try:
+                each.upsert(VectorRecord(*row))
+            except (InvalidArgument, InvalidVectorDim) as exc:
+                stop, want_error = i, exc
+                break
+        if want_error is None:
+            batch._upsert_rows(ids, vectors, points, windows, credibility, sources, texts)
+        else:
+            with pytest.raises(type(want_error)) as err:
+                batch._upsert_rows(ids, vectors, points, windows, credibility, sources, texts)
+            assert str(err.value) == str(want_error)
+
+        assert batch.doc_ids() == each.doc_ids() == sorted({f"doc{2 * i:04d}" for i in range(prior)} | set(ids[:stop]))
+        last = {doc_id: i for i, doc_id in enumerate(ids[:stop])}
+        for doc_id in batch.doc_ids():
+            got, want = batch.get(doc_id), each.get(doc_id)
+            assert got.vector.tobytes() == want.vector.tobytes()
+            assert (got.point, got.window, got.source, got.text) == (want.point, want.window, want.source, want.text)
+            assert struct.pack("<d", got.credibility) == struct.pack("<d", want.credibility)
+            if doc_id in last:
+                assert got.vector.tobytes() == one_row_reference(vectors[last[doc_id]]).tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            batch.save(Path(tmp) / "batch.gcev")
+            each.save(Path(tmp) / "each.gcev")
+            assert (Path(tmp) / "batch.gcev").read_bytes() == (Path(tmp) / "each.gcev").read_bytes()
+
+    def test_block_capacity_doubles_as_one_row_at_a_time(self):
+        rng = np.random.default_rng(41)
+        for sizes in ([1], [64], [65], [1000, 1000], [1, 1023, 1025, 3]):
+            store = HybridIndex(CFG)
+            capacities = []
+            for size in sizes:
+                at = len(store._pending)
+                store._upsert_rows([f"d{at + i}" for i in range(size)], rng.standard_normal((size, D)),
+                                   [None] * size, [None] * size, [1.0] * size, [""] * size, [""] * size)
+                capacities.append(len(store._block))
+            want = [64 * 2 ** max(0, math.ceil(math.log2(sum(sizes[: i + 1]) / 64))) for i in range(len(sizes))]
+            assert capacities == want, sizes
+
+
 POOL = [unit(np.random.default_rng(100 + i)) for i in range(5)]
 POINTS = [None, HERE, GeoPoint(1.31, 103.8), GeoPoint(-33.9, 151.2)]
 WINDOWS = [None, TimeWindow(0.0, 10.0), TimeWindow(5.0, 50.0)]
