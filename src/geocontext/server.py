@@ -35,21 +35,37 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 SOCKET_TIMEOUT_S = 10.0
 
 
+def _number(value, name: str) -> float:
+    """A JSON number field as a float; InvalidArgument for any other type."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidArgument(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond float range
+        raise InvalidArgument(f"{name} is out of range") from None
+
+
+def _collection(body: dict, op: str, name: str):
+    if name not in body:
+        raise InvalidArgument(f'{op} requires "{name}"')
+    return parse_feature_collection(body[name])
+
+
 def _compute_payload(body: dict) -> dict:
     op = body.get("op")
     if op == "distance-matrix":
-        result = distance_matrix(parse_feature_collection(body["a"]), parse_feature_collection(body["b"]))
+        result = distance_matrix(_collection(body, op, "a"), _collection(body, op, "b"))
     elif op == "nearest-join":
-        result = nearest_join(parse_feature_collection(body["a"]), parse_feature_collection(body["b"]))
+        result = nearest_join(_collection(body, op, "a"), _collection(body, op, "b"))
     elif op == "within-radius":
-        center = body["center"]
-        result = within_radius(
-            parse_feature_collection(body["a"]),
-            GeoPoint(float(center["lat"]), float(center["lon"])),
-            float(body["radius_m"]),
-        )
+        a = _collection(body, op, "a")
+        center = body.get("center")
+        if not isinstance(center, dict):
+            raise InvalidArgument(f"center must be an object, got {type(center).__name__}")
+        point = GeoPoint(_number(center.get("lat"), "center.lat"), _number(center.get("lon"), "center.lon"))
+        result = within_radius(a, point, _number(body.get("radius_m"), "radius_m"))
     else:
-        raise ValueError(f"unknown compute op {op!r}")
+        raise InvalidArgument(f"unknown compute op {op!r}")
     return {"kind": result.kind, "summary": result.summary, "document": result.document}
 
 

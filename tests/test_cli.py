@@ -273,6 +273,18 @@ class TestComputeCommand:
             assert "error_code=ParseError" in capsys.readouterr().err
 
 
+    def test_feature_id_that_is_not_a_string_or_number_is_parse_error(self, tmp_path, capsys):
+        for fid in (True, {"x": 1}, [1]):
+            doc = {"type": "FeatureCollection", "features": [
+                {"type": "Feature", "id": fid, "geometry": {"type": "Point", "coordinates": [0, 0]}}]}
+            a = tmp_path / "a.geojson"
+            a.write_text(json.dumps(doc), encoding="utf-8")
+            out = tmp_path / "o.json"
+            argv = ["compute", "--op", "distance-matrix", "--a", str(a), "--b", str(a), "--out", str(out)]
+            assert main(argv) == 2, fid
+            assert capsys.readouterr().err.startswith("error_code=ParseError: feature 0: id must be"), fid
+            assert not out.exists()
+
     def test_file_that_is_not_utf8_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.geojson"
         path.write_bytes(b'{"type": "FeatureCollection", "name": "Caf\xe9", "features": []}')

@@ -2,12 +2,15 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geocontext.errors import EmptyInput, NonPositiveSpeed, ParseError, UnsupportedGeometry
 from geocontext.geocompute import (
+    _BLOCK_VALUES,
+    _KERNEL_MIN_VALUES,
     ComputeResult,
     FeatureSet,
     distance_matrix,
@@ -17,6 +20,7 @@ from geocontext.geocompute import (
     representative_point,
     travel_time,
     travel_time_result,
+    _float_text,
     within_radius,
     write_result,
 )
@@ -93,6 +97,21 @@ class TestLoadGeoFile:
         }
         fs = parse_feature_collection(doc)
         assert [f.id for f in fs.features] == ["f0", "f1"]
+
+    @pytest.mark.parametrize("fid", [True, False, {"x": 1}, [1], []], ids=["true", "false", "object", "array", "empty-array"])
+    def test_id_that_is_not_a_string_or_number_is_parse_error(self, fid):
+        # RFC 7946 section 3.2: a feature id is a JSON string or number.
+        doc = fc(("p0", 0, 0), ("p1", 1, 1))
+        doc["features"][1]["id"] = fid
+        with pytest.raises(ParseError, match="feature 1: id must be a string or a number"):
+            parse_feature_collection(doc)
+
+    def test_string_and_number_ids_keep_their_text(self):
+        doc = fc(("a", 0, 0), ("b", 1, 1), ("c", 2, 2), ("d", 3, 3))
+        for feature, fid in zip(doc["features"], ["caf\u00e9", 7, 2.5, -0.0]):
+            feature["id"] = fid
+        fs = parse_feature_collection(doc)
+        assert [f.id for f in fs.features] == ["caf\u00e9", "7", "2.5", "-0.0"]
 
     def test_duplicate_ids_rejected(self):
         doc = fc(("same", 0, 0), ("same", 1, 1))
@@ -369,3 +388,82 @@ class TestWriteResultBytes:
             out = tmp_path / f"{i}.json"
             write_result(result, out)
             assert out.read_bytes() == reference_bytes(result.document), result.kind
+
+
+# Every float64, by bit pattern: NaN payloads, subnormals, both zeros.
+_bit_floats = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+_any_floats = _bit_floats | st.floats()
+
+
+def _mixed_floats(rng: np.random.Generator, n: int) -> list[float]:
+    """Seeded doubles over every range the formatter treats differently."""
+    values = np.concatenate([
+        10 ** rng.uniform(-6, 18, n) * rng.choice([-1.0, 1.0], n),
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        np.round(rng.uniform(0, 1000, n), 3),
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-4, 0.5, 2.0**53],
+    ])
+    return rng.permutation(values)[:n].tolist()
+
+
+class TestFloatFormatter:
+    """Float lists long enough to go through write_result's float kernel
+    come out as json.dumps writes them."""
+
+    def write(self, tmp_path, document) -> bytes:
+        out = tmp_path / "doc.json"
+        write_result(ComputeResult(kind="doc", payload=None, summary="", document=document), out)
+        return out.read_bytes()
+
+    @given(st.lists(_any_floats, min_size=_KERNEL_MIN_VALUES, max_size=2 * _KERNEL_MIN_VALUES))
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_float_list_matches_json_dumps(self, tmp_path, values):
+        document = {"values": values, "nested": {"deeper": [values]}}
+        assert self.write(tmp_path, document) == reference_bytes(document)
+
+    @given(st.lists(
+        st.lists(_any_floats, max_size=_KERNEL_MIN_VALUES + 10) | st.lists(st.integers() | _any_floats, max_size=4),
+        max_size=12,
+    ))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_ragged_lists_of_float_lists_match_json_dumps(self, tmp_path, rows):
+        # Empty rows and rows holding ints break the runs the kernel takes.
+        document = {"rows": rows, "nested": [{"rows": rows}]}
+        assert self.write(tmp_path, document) == reference_bytes(document)
+
+    @pytest.mark.parametrize("n", sorted({
+        1, _KERNEL_MIN_VALUES - 1, _KERNEL_MIN_VALUES, _KERNEL_MIN_VALUES + 1,
+        _BLOCK_VALUES - 1, _BLOCK_VALUES, _BLOCK_VALUES + 1, 2 * _BLOCK_VALUES + 3,
+    }))
+    def test_lengths_around_the_cut_off_and_the_block_size(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        flat = _mixed_floats(rng, n)
+        split = n // 3
+        document = {
+            "flat": flat,
+            "rows": [flat, flat[:split], flat[split:]],
+            "runs": [flat[:split], "break", flat[split:], [1, 2.5], flat],
+            "short_rows": [[v] for v in flat[:_KERNEL_MIN_VALUES + 2]],
+            "tuple": tuple(flat),
+        }
+        assert self.write(tmp_path, document) == reference_bytes(document)
+
+    def test_sweep_has_no_mismatch_against_repr(self):
+        """Every power of two and of ten within 1e-5..1e17, one ulp either
+        side, and 10^5 random doubles per decade, both signs."""
+        rng = np.random.default_rng(20261019)
+        anchors = np.concatenate([2.0 ** np.arange(-17, 57), [float(f"1e{k}") for k in range(-5, 18)]])
+        values = np.concatenate([
+            anchors,
+            np.nextafter(anchors, 0.0),
+            np.nextafter(anchors, np.inf),
+            *(rng.uniform(10.0**d, 10.0 ** (d + 1), 100_000) for d in range(-5, 17)),
+        ])
+        values = np.concatenate([values, -values[::7]])
+        mismatches = []
+        for start in range(0, values.size, _BLOCK_VALUES):
+            block = values[start:start + _BLOCK_VALUES]
+            got, want = _float_text(block, ", ", [], ""), ", ".join(map(repr, block.tolist()))
+            if got != want:
+                mismatches += [(w, g) for g, w in zip(got.split(", "), want.split(", ")) if g != w]
+        assert not mismatches, f"{len(mismatches)} of {values.size} differ, first {mismatches[:5]}"

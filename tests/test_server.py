@@ -219,6 +219,45 @@ class TestComputeEndpoint:
         assert status == 200
         assert [f["id"] for f in json.loads(body)["document"]["features"]] == ["near"]
 
+    def test_feature_id_that_is_not_a_string_or_number_is_typed_400(self, running_server):
+        for fid in (True, {"x": 1}, [1]):
+            a = self.fc(("p", 1.0, 2.0))
+            a["features"][0]["id"] = fid
+            status, body = post(running_server["base"] + "/compute", {"op": "distance-matrix", "a": a, "b": a})
+            assert status == 400, fid
+            assert json.loads(body)["error"].startswith("ParseError: feature 0: id must be"), body
+
+    def test_fields_of_the_wrong_type_are_typed_400(self, running_server):
+        a = self.fc(("near", 0.0, 0.0))
+        within = {"op": "within-radius", "a": a, "center": {"lat": 0.0, "lon": 0.0}, "radius_m": 5000}
+        cases = [
+            ({**within, "radius_m": "1e9"}, "radius_m must be a number"),
+            ({**within, "radius_m": True}, "radius_m must be a number"),
+            ({**within, "radius_m": None}, "radius_m must be a number"),
+            ({**within, "radius_m": 10**400}, "radius_m is out of range"),
+            ({**within, "center": {"lat": "0", "lon": 0.0}}, "center.lat must be a number"),
+            ({**within, "center": {"lat": 0.0, "lon": False}}, "center.lon must be a number"),
+            ({**within, "center": {"lat": 0.0}}, "center.lon must be a number"),
+            ({**within, "center": [0.0, 0.0]}, "center must be an object"),
+            ({**within, "center": "0,0"}, "center must be an object"),
+            ({k: v for k, v in within.items() if k != "center"}, "center must be an object"),
+            ({"op": "distance-matrix", "a": a}, 'distance-matrix requires "b"'),
+            ({"op": "nearest-join", "b": a}, 'nearest-join requires "a"'),
+            ({"op": "within-radius", "center": {"lat": 0.0, "lon": 0.0}, "radius_m": 1}, 'within-radius requires "a"'),
+        ]
+        for payload, message in cases:
+            status, body = post(running_server["base"] + "/compute", payload)
+            assert status == 400, payload
+            assert json.loads(body)["error"].startswith(f"InvalidArgument: {message}"), (payload, body)
+
+    def test_integer_and_float_fields_are_accepted(self, running_server):
+        a = self.fc(("near", 0.0, 0.0), ("far", 30.0, 30.0))
+        for center, radius in (({"lat": 0, "lon": 0}, 5000), ({"lat": 0.0, "lon": 0.0}, 5000.0)):
+            payload = {"op": "within-radius", "a": a, "center": center, "radius_m": radius}
+            status, body = post(running_server["base"] + "/compute", payload)
+            assert status == 200, (payload, body)
+            assert [f["id"] for f in json.loads(body)["document"]["features"]] == ["near"]
+
     def test_unknown_op_400(self, running_server):
         within = {"op": "within-radius", "a": self.fc(("near", 0.0, 0.0)), "center": {"lat": 0.0, "lon": 0.0}}
         for payload in ({"op": "teleport"}, {**within, "radius_m": "nan"}, {**within, "radius_m": float("inf")}):
