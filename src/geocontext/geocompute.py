@@ -524,8 +524,11 @@ def _list_pieces(obj, pad: str):
         return
     yield "[\n" + inner
     lead = ""
-    for is_floats, group in itertools.groupby(obj, _is_float_list):
-        group = list(group)
+    if any(issubclass(t, (list, tuple)) for t in types):
+        runs = ((is_floats, list(group)) for is_floats, group in itertools.groupby(obj, _is_float_list))
+    else:  # no lists in it, such as a list of features: one run
+        runs = [(False, obj)]
+    for is_floats, group in runs:
         if is_floats and sum(map(len, group)) >= _KERNEL_MIN_VALUES:
             yield lead
             yield from _float_lists_pieces(group, inner)
