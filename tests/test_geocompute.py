@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from geocontext import geocompute
 from geocontext.errors import EmptyInput, NonPositiveSpeed, ParseError, UnsupportedGeometry
 from geocontext.geocompute import (
     _BLOCK_VALUES,
@@ -415,18 +416,23 @@ class TestFloatFormatter:
         write_result(ComputeResult(kind="doc", payload=None, summary="", document=document), out)
         return out.read_bytes()
 
-    @given(st.lists(_any_floats, min_size=_KERNEL_MIN_VALUES, max_size=2 * _KERNEL_MIN_VALUES))
-    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_float_list_matches_json_dumps(self, tmp_path, values):
+    @pytest.fixture
+    def low_cut_off(self, monkeypatch):
+        """The kernel takes runs from 8 values, so that short generated lists reach it."""
+        monkeypatch.setattr(geocompute, "_KERNEL_MIN_VALUES", 8)
+
+    @given(st.lists(_any_floats, min_size=8, max_size=100))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_float_list_matches_json_dumps(self, tmp_path, low_cut_off, values):
         document = {"values": values, "nested": {"deeper": [values]}}
         assert self.write(tmp_path, document) == reference_bytes(document)
 
     @given(st.lists(
-        st.lists(_any_floats, max_size=_KERNEL_MIN_VALUES + 10) | st.lists(st.integers() | _any_floats, max_size=4),
+        st.lists(_any_floats, max_size=20) | st.lists(st.integers() | _any_floats, max_size=4),
         max_size=12,
     ))
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_ragged_lists_of_float_lists_match_json_dumps(self, tmp_path, rows):
+    def test_ragged_lists_of_float_lists_match_json_dumps(self, tmp_path, low_cut_off, rows):
         # Empty rows and rows holding ints break the runs the kernel takes.
         document = {"rows": rows, "nested": [{"rows": rows}]}
         assert self.write(tmp_path, document) == reference_bytes(document)
